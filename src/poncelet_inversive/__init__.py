@@ -49,7 +49,6 @@ from .power import (
     p5_point,
     pi3_affine_in_lambda,
     power,
-    power_via_zeta,
 )
 from .analysis import (
     OLocation,

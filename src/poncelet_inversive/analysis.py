@@ -16,11 +16,12 @@ from .conics import (
     Line,
     conic_classify,
     conic_fit,
+    conic_params,
     conic_residual,
     tangency_residual,
     tangents_from_point,
 )
-from .errors import AmbiguousBoundary
+from .errors import AmbiguousBoundary, SingularMap
 from .family import PonceletFamily, Triangle, affine_image, triangle_at
 from .inversive import (
     Circle,
@@ -45,7 +46,8 @@ class SweepResult:
     """Per-sample loci of a uniform theta sweep.
 
     Center lists hold None at skipped indices (inversion center on the
-    circumcircle there, inversive circumcenter at infinity).
+    circumcircle there, inversive circumcenter at infinity).  `worlds`
+    keeps every world-chart triangle so checks need not solve again.
     """
 
     thetas: np.ndarray
@@ -59,6 +61,7 @@ class SweepResult:
     skipped: list[int]
     family: PonceletFamily
     inversion: Circle
+    worlds: list[Triangle]
 
     def valid(self, name: str) -> np.ndarray:
         pts = [p for p in getattr(self, name) if p is not None]
@@ -69,11 +72,12 @@ def sweep(fam: PonceletFamily, k: Circle, n: int = 720) -> SweepResult:
     if n < 64:
         raise ValueError("need at least 64 samples")
     thetas = 2 * np.pi * np.arange(n) / n
-    x3, x3p, inv_x3, x2p, x4p, x5p = [], [], [], [], [], []
+    x3, x3p, inv_x3, x2p, x4p, x5p, worlds = [], [], [], [], [], [], []
     pow_o = np.empty(n)
     skipped = []
     for i, th in enumerate(thetas):
         w = affine_image(fam, triangle_at(fam, th))
+        worlds.append(w)
         circ = circumcircle(w)
         x3.append(circ.center)
         pw = power(k.center, circ)
@@ -91,7 +95,7 @@ def sweep(fam: PonceletFamily, k: Circle, n: int = 720) -> SweepResult:
         x4p.append(orthocenter(tp))
         x5p.append(euler_center(tp))
     return SweepResult(thetas, x3, x3p, inv_x3, x2p, x4p, x5p,
-                       pow_o, skipped, fam, k)
+                       pow_o, skipped, fam, k, worlds)
 
 
 class OLocationKind(enum.Enum):
@@ -106,60 +110,51 @@ class OLocation:
     crossing_count: int
 
 
-def _power_profile(fam: PonceletFamily, k: Circle, n: int):
-    thetas = 2 * np.pi * np.arange(n) / n
-    pw = np.empty(n)
-    r2 = np.empty(n)
-    for i, th in enumerate(thetas):
-        circ = circumcircle(affine_image(fam, triangle_at(fam, th)))
-        pw[i] = power(k.center, circ)
-        r2[i] = circ.radius ** 2
-    return thetas, pw, r2
-
-
-def classify_O(fam: PonceletFamily, k: Circle, n: int = 4096) -> OLocation:
+def classify_O(fam: PonceletFamily, k: Circle) -> OLocation:
     """Locate the inversion center against the circumcircle sweep region.
 
-    Counts sign changes of theta -> power(O, circumcircle(theta)), each
-    confirmed by bisection; tangent (no-crossing) near-zeros flag the
-    boundary case.  One loop of the family parameter only permutes the
-    vertices cyclically, so a full vertex revolution covers three loops;
-    the reported crossing count is per vertex revolution (three times the
-    per-loop count), giving 0 for an exterior center, 6 for an interior
-    one and 3 double roots on the boundary.  Always-negative power also
-    counts as Interior: O then sits inside every circumcircle.
+    The X3' denominator b0 + 2 Re(b2 lam) is a b times the power of O with
+    respect to the circumcircle at lam, a sinusoid in theta: it changes
+    sign iff |b0| < 2 |b2|, and otherwise keeps the sign of b0 (positive:
+    O outside every circumcircle; negative: inside all, reported Interior).
+    The boundary |b0| = 2 |b2| is read off the parabola band of the exact
+    locus conic, so the reported location obeys the conic-type law.  One
+    loop of the family parameter only permutes the vertices cyclically, so
+    crossing counts are per vertex revolution (three loops): 6 when
+    crossed, 3 double roots on the boundary, 0 otherwise.
     """
-    thetas, pw, r2 = _power_profile(fam, k, n)
+    coeffs = inversive_coeffs(fam, k)
+    try:
+        parabola = conic_classify(exact_locus_conic(coeffs)) is ConicType.PARABOLA
+    except SingularMap:  # the X3' locus collapses to a point (e.g. a = b)
+        parabola = False
+    if parabola:
+        return OLocation(OLocationKind.BOUNDARY, 3)
+    if abs(coeffs.b0) < 2 * abs(coeffs.b2):
+        return OLocation(OLocationKind.INTERIOR, 6)
+    kind = OLocationKind.EXTERIOR if coeffs.b0 > 0 else OLocationKind.INTERIOR
+    return OLocation(kind, 0)
 
-    def pw_at(th):
-        circ = circumcircle(affine_image(fam, triangle_at(fam, th)))
-        return power(k.center, circ)
 
-    crossings = 0
-    for i in range(n):
-        j = (i + 1) % n
-        if pw[i] == 0.0 or pw[i] * pw[j] >= 0:
-            continue
-        lo, hi = thetas[i], thetas[i] + 2 * np.pi / n
-        flo = pw[i]
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            fm = pw_at(mid)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        crossings += 1
+def _sampled_location(sw: SweepResult) -> OLocation:
+    """O location read off the sampled power of O, independently of the
+    closed-form coefficients.
 
-    # Tangent near-zeros: local |power| minima without a sign change.
-    tangencies = 0
+    Counts sign changes of theta -> power(O, circumcircle(theta)) over the
+    sweep; local |power| minima below 1e-6 r^2 without a sign change are
+    tangencies and flag the boundary case, as does a crossing pair whose
+    every excursion past zero is that shallow.  Any other count raises
+    AmbiguousBoundary.
+    """
+    pw = sw.power_at_O
+    r2 = np.abs(np.array(sw.worlds)[:, 0] - np.array(sw.x3)) ** 2
+    prev, nxt = np.roll(pw, 1), np.roll(pw, -1)
+    crossings = int(np.count_nonzero(pw * nxt < 0))
     eps = _BOUNDARY_POWER_TOL * r2
-    for i in range(n):
-        im, ip = (i - 1) % n, (i + 1) % n
-        if abs(pw[i]) <= abs(pw[im]) and abs(pw[i]) < abs(pw[ip]) \
-                and abs(pw[i]) < eps[i] \
-                and pw[im] * pw[i] > 0 and pw[i] * pw[ip] > 0:
-            tangencies += 1
+    size = np.abs(pw)
+    tangencies = int(np.count_nonzero(
+        (size <= np.abs(prev)) & (size < np.abs(nxt)) & (size < eps)
+        & (prev * pw > 0) & (pw * nxt > 0)))
 
     if crossings == 0:
         if tangencies > 0:
@@ -170,24 +165,19 @@ def classify_O(fam: PonceletFamily, k: Circle, n: int = 4096) -> OLocation:
         return OLocation(OLocationKind.INTERIOR, 3 * crossings)
     # A boundary configuration can split each double root into a shallow
     # crossing pair; accept it when every excursion past zero is shallow.
-    if crossings % 2 == 0 and _shallow_crossings(pw, eps):
+    minority = pw > 0 if np.sum(pw > 0) < len(pw) / 2 else pw < 0
+    if crossings % 2 == 0 and np.all(size[minority] < eps[minority]):
         return OLocation(OLocationKind.BOUNDARY, 3 * crossings)
     raise AmbiguousBoundary(
         f"unexpected per-loop crossing count {crossings} "
         f"with {tangencies} tangencies")
 
 
-def _shallow_crossings(pw: np.ndarray, eps: np.ndarray) -> bool:
-    minority = 1 if np.sum(pw > 0) < len(pw) / 2 else -1
-    sel = pw * minority > 0
-    return bool(np.all(np.abs(pw[sel]) < eps[sel]))
-
-
 def _expected_type(loc: OLocation) -> ConicType:
-    # The locus is unbounded exactly when the closed-form denominator (twice
-    # the power of O) vanishes somewhere, i.e. when crossings occur.  An
-    # always-negative power is classified Interior with zero crossings (O in
-    # the hole of the swept annulus); the locus is then still bounded.
+    # The locus is unbounded exactly when the closed-form denominator (a b
+    # times the power of O) vanishes somewhere, i.e. when crossings occur.
+    # An always-negative power is classified Interior with zero crossings
+    # (O in the hole of the swept annulus); the locus is then still bounded.
     if loc.kind is OLocationKind.BOUNDARY:
         return ConicType.PARABOLA
     return ConicType.HYPERBOLA if loc.crossing_count > 0 else ConicType.ELLIPSE
@@ -200,11 +190,13 @@ class ConicTypeReport:
     consistent: bool
 
 
-def verify_conic_type(fam: PonceletFamily, k: Circle) -> ConicTypeReport:
+def verify_conic_type(sw: SweepResult) -> ConicTypeReport:
     """Check the conic-type law: Exterior -> ellipse, Interior (crossed)
-    -> hyperbola, Boundary -> parabola."""
-    loc = classify_O(fam, k)
-    ctype = conic_classify(exact_locus_conic(inversive_coeffs(fam, k)))
+    -> hyperbola, Boundary -> parabola.  O is located from the sweep's
+    sampled power, so the boundary resolution follows the sample count."""
+    loc = _sampled_location(sw)
+    coeffs = inversive_coeffs(sw.family, sw.inversion)
+    ctype = conic_classify(exact_locus_conic(coeffs))
     return ConicTypeReport(loc, ctype, _expected_type(loc) == ctype)
 
 
@@ -218,17 +210,14 @@ class SimilitudeReport:
     scale: float = 0.0
 
 
-def similitude_check(fam: PonceletFamily, k: Circle, n: int = 720,
-                     tol: float = 1e-7) -> SimilitudeReport:
+def similitude_check(sw: SweepResult) -> SimilitudeReport:
     """Tangents from O to the X3 locus must also touch the X3' locus and
     graze the inv(X3) point cloud."""
-    sw = sweep(fam, k, n)
     l3 = conic_fit(sw.valid("x3"))
-    o = k.center
-    lines = tangents_from_point(l3, o)
+    lines = tangents_from_point(l3, sw.inversion.center)
     if len(lines) < 2:
         return SimilitudeReport(status="no-real-tangents")
-    l3p = exact_locus_conic(inversive_coeffs(fam, k))
+    l3p = exact_locus_conic(inversive_coeffs(sw.family, sw.inversion))
     cloud = sw.valid("inv_x3")
     scale = float(np.max(np.abs(cloud - cloud.mean()))) if len(cloud) else 1.0
     rep = SimilitudeReport(status="ok", tangents=lines, scale=scale)
@@ -265,13 +254,11 @@ def _axis_angle(c: Conic) -> float:
     return float(np.arctan2(vec[1, 0], vec[0, 0])) % np.pi
 
 
-def homothety_check(fam: PonceletFamily, radius: float = 1.0,
-                    n: int = 720) -> HomothetyReport:
+def homothety_check(sw: SweepResult) -> HomothetyReport:
     """With the inversion centered at P3, the X3' locus is a translated and
-    scaled copy of the X3 locus; the scale is r^2 / |Pi3|."""
-    res = p3_point(fam)
-    k = Circle(res.point, radius)
-    sw = sweep(fam, k, n)
+    scaled copy of the X3 locus; the scale is r^2 / |Pi3|.  The sweep's
+    inversion is taken to be centered at P3."""
+    fam, k = sw.family, sw.inversion
     x3 = sw.valid("x3")
     spread = float(np.max(np.abs(x3 - x3.mean())))
     if spread < 1e-10 * max(1.0, abs(x3.mean())):
@@ -285,11 +272,10 @@ def homothety_check(fam: PonceletFamily, radius: float = 1.0,
     d = abs(a1 - a2) % np.pi
     angle_defect = min(d, np.pi - d)
 
-    from .conics import conic_params
     _, maj3, _, _ = conic_params(l3)
     _, maj3p, _, _ = conic_params(l3p)
     scale_ratio = maj3 / maj3p
-    predicted = abs(res.invariant_power) / radius ** 2
+    predicted = abs(p3_point(fam).invariant_power) / k.radius ** 2
     return HomothetyReport(
         status="ok",
         angle_defect=float(angle_defect),

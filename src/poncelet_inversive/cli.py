@@ -87,9 +87,10 @@ def _fmt(x: float) -> str:
 
 def write_csv(sw: analysis.SweepResult, path: Path) -> None:
     lines = [CSV_HEADER]
+    skipped_set = set(sw.skipped)
     for i, th in enumerate(sw.thetas):
         cells = [_fmt(th), _fmt(sw.x3[i].real), _fmt(sw.x3[i].imag)]
-        skipped = i in set(sw.skipped)
+        skipped = i in skipped_set
         for name in ("x3p", "inv_x3", "x2p", "x4p", "x5p"):
             p = getattr(sw, name)[i]
             if p is None:
@@ -228,11 +229,12 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     lines = []
     all_ok = True
     coeffs = inversive.inversive_coeffs(fam, k)
+    sw = analysis.sweep(fam, k, cfg.samples)
 
-    # Closed form vs direct composition.
+    # Closed form vs direct composition, on about 64 of the swept samples.
+    stride = max(1, len(sw.thetas) // 64)
     errs = []
-    for th in 2 * np.pi * np.arange(64) / 64:
-        w = family.affine_image(fam, family.triangle_at(fam, th))
+    for th, w in zip(sw.thetas[::stride], sw.worlds[::stride]):
         try:
             closed = inversive.inversive_circumcenter_closed(coeffs, th)
         except GeometryError:
@@ -249,7 +251,6 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
                      max(im_rel, conj_rel))
 
     # Exact vs fitted conic, sweep residuals.
-    sw = analysis.sweep(fam, k, cfg.samples)
     exact = inversive.exact_locus_conic(coeffs)
     fitted = conics.conic_fit(sw.valid("x3p"))
     dist = min(exact.distance(fitted),
@@ -262,7 +263,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
 
     # Conic type vs O location.
     try:
-        rep = analysis.verify_conic_type(fam, k)
+        rep = analysis.verify_conic_type(sw)
         all_ok &= _check(lines, "conic_type_law", rep.consistent,
                          note=f"O={rep.o_location.kind.value} "
                               f"locus={rep.conic_type.value} "
@@ -271,39 +272,33 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
         all_ok &= _check(lines, "conic_type_law", False, note=str(exc))
 
     # Collinearity, ratio, pencil.
+    circles = [inversive.circumcircle(w) for w in sw.worlds]
     coll_max = ratio_max = pencil_max = 0.0
-    for i, th in enumerate(sw.thetas):
-        if sw.x3p[i] is None:
+    for x3, x3p, w, circ in zip(sw.x3, sw.x3p, sw.worlds, circles):
+        if x3p is None:
             continue
-        w = family.affine_image(fam, family.triangle_at(fam, th))
-        circ = inversive.circumcircle(w)
-        tp = inversive.inversive_triangle(w, k)
         try:
-            c, r = inversive.collinearity_and_ratio(
-                sw.x3[i], k.center, sw.x3p[i], circ, k)
+            c, r = inversive.collinearity_and_ratio(x3, k.center, x3p, circ, k)
         except GeometryError:
             continue
         coll_max, ratio_max = max(coll_max, c), max(ratio_max, r)
         pencil_max = max(pencil_max, inversive.pencil_membership(
-            circ, k, inversive.circumcircle(tp)))
+            circ, k, inversive.circumcircle(inversive.inversive_triangle(w, k))))
     all_ok &= _check(lines, "collinearity", coll_max < 1e-9, coll_max)
     all_ok &= _check(lines, "distance_ratio", ratio_max < 1e-9, ratio_max)
     all_ok &= _check(lines, "pencil_membership", pencil_max < 1e-9, pencil_max)
 
     # Constant power points.
     res3 = p3_point(fam)
-    pows = np.array([power_of_point(res3.point, inversive.circumcircle(
-        family.affine_image(fam, family.triangle_at(fam, th))))
-        for th in sw.thetas])
+    pows = np.array([power_of_point(res3.point, circ) for circ in circles])
     rel_std = pows.std() / abs(pows.mean())
     mean_err = abs(pows.mean() - res3.invariant_power) / abs(res3.invariant_power)
     all_ok &= _check(lines, "p3_constant_power",
                      rel_std < 1e-9 and mean_err < 1e-9, max(rel_std, mean_err))
 
     res5 = p5_point(fam)
-    pows5 = np.array([power_of_point(res5.point, inversive.euler_circle(
-        family.affine_image(fam, family.triangle_at(fam, th))))
-        for th in sw.thetas])
+    pows5 = np.array([power_of_point(res5.point, inversive.euler_circle(w))
+                      for w in sw.worlds])
     rel_std5 = pows5.std() / abs(pows5.mean())
     mean_err5 = abs(pows5.mean() - res5.invariant_power) / abs(res5.invariant_power)
     all_ok &= _check(lines, "p5_constant_power",
@@ -317,7 +312,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     all_ok &= _check(lines, "p3_interiority", margin > 1e-12, margin)
 
     # Similitude tangency.
-    sim = analysis.similitude_check(fam, k, cfg.samples)
+    sim = analysis.similitude_check(sw)
     if sim.status == "no-real-tangents":
         _skip(lines, "similitude_tangency", "(O interior to the X3 locus)")
     else:
@@ -329,7 +324,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
 
     # Homothety (only when the config put O at P3).
     if abs(k.center - res3.point) < 1e-9 * max(1.0, abs(res3.point)):
-        hom = analysis.homothety_check(fam, k.radius, cfg.samples)
+        hom = analysis.homothety_check(sw)
         if hom.status == "degenerate":
             _skip(lines, "homothety", "(X3 locus degenerates to a point)")
         else:
@@ -343,8 +338,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     # Poncelet closure.
     closure = 0.0
     world_inner = family.inner_ellipse_world(fam)
-    for th in sw.thetas[:: max(1, len(sw.thetas) // 120)]:
-        w = family.affine_image(fam, family.triangle_at(fam, th))
+    for w in sw.worlds[:: max(1, len(sw.thetas) // 120)]:
         for s1, s2 in ((w.v1, w.v2), (w.v2, w.v3), (w.v3, w.v1)):
             closure = max(closure,
                           world_inner.side_tangency_residual(s1, s2))

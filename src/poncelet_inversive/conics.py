@@ -242,17 +242,14 @@ def tangents_from_point(c: Conic, o: complex) -> list[Line]:
     return [Line(*(l1 + ((-beta + sgn * rt) / gamma) * l2)) for sgn in (1, -1)]
 
 
-def is_tangent(c: Conic, line: Line, tol: float = 1e-9) -> bool:
-    qa = _adjugate(c.matrix())
-    lv = line.vector()
-    val = lv @ qa @ lv
-    return abs(val) / (np.linalg.norm(qa) * (lv @ lv)) < tol
-
-
 def tangency_residual(c: Conic, line: Line) -> float:
     qa = _adjugate(c.matrix())
     lv = line.vector()
     return abs(lv @ qa @ lv) / (np.linalg.norm(qa) * (lv @ lv))
+
+
+def is_tangent(c: Conic, line: Line, tol: float = 1e-9) -> bool:
+    return tangency_residual(c, line) < tol
 
 
 def conic_params(c: Conic):

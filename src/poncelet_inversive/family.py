@@ -184,13 +184,6 @@ def family_from_inner_circle(a: float, b: float, center: complex,
     return PonceletFamily.from_axes(f, g, a, b)
 
 
-def chapple_radius(a: float, center: complex) -> float:
-    """Inner-circle radius satisfying closure for a circular outer conic."""
-    # a == b: foci coincide at center/a and closure reads 1 - |f|^2 = 2 r/a.
-    f = center / a
-    return a * (1 - abs(f) ** 2) / 2
-
-
 def solve_inner_radius(a: float, b: float, center: complex,
                        bracket=(1e-6, None)) -> float:
     """Radius r_in for which (a, b, center, r_in) satisfies closure.

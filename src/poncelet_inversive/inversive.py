@@ -5,9 +5,10 @@ The closed form evaluated here is
 
     X3'(lam) = z0 + (a2 lam + a1 conj(lam) + a0) / (b2 lam + b1 conj(lam) + b0)
 
-with b1 = conj(b2) and b0 real, so the denominator is a real scalar: it
-equals twice the power of the inversion center with respect to the moving
-circumcircle, while the numerator equals 2 r^2 (X3 - z0).
+with b1 = conj(b2) and b0 real, so the denominator is a real scalar.  With
+a, b the outer semiaxes and r the inversion radius, the denominator equals
+a b power(z0, circumcircle(lam)) and the numerator equals a b r^2 (X3 - z0),
+where X3 is the world-chart circumcenter.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class InversiveCoefficients:
         return 2 * abs(self.b2) + abs(self.b0)
 
 
-def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
+def _raw_coeffs(fam: PonceletFamily, k: Circle):
+    """Closed-form (a0, a1, a2, b0, b1, b2) as computed, before validation."""
     f, g, p, q = fam.f, fam.g, fam.p, fam.q
     fb, gb = np.conj(f), np.conj(g)
     z0 = k.center
@@ -131,30 +133,26 @@ def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
           + abs(z0) ** 2 * p ** 2 - (f * g + fb * gb) * q ** 3 * p + q ** 4
           + (z0b * (f + g) + z0 * (fb + gb)) * p * q ** 2
           - abs(z0) ** 2 * q ** 2)
+    return a0, a1, a2, b0, b1, b2
 
+
+def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
+    a0, a1, a2, b0, b1, b2 = _raw_coeffs(fam, k)
     if abs(np.imag(b0)) > 1e-10 * max(abs(b0), 1e-300):
         raise HypothesisViolation(f"Im(b0) = {np.imag(b0):.3e} is not negligible")
     if abs(b2 - np.conj(b1)) > 1e-10 * max(abs(b1), 1e-300):
         raise HypothesisViolation("b2 != conj(b1)")
     return InversiveCoefficients(a0=complex(a0), a1=complex(a1), a2=complex(a2),
                                  b0=float(np.real(b0)), b1=complex(b1),
-                                 b2=complex(b2), r2=r2, z0=z0)
+                                 b2=complex(b2), r2=k.radius ** 2, z0=k.center)
 
 
 def hypothesis_residuals(fam: PonceletFamily, k: Circle) -> tuple[float, float]:
     """Raw relative residuals of the projectivity hypotheses:
     (|Im b0| / |b0|, |b2 - conj(b1)| / |b1|)."""
-    coeffs = inversive_coeffs(fam, k)
-    f, g, p, q = fam.f, fam.g, fam.p, fam.q
-    fb, gb = np.conj(f), np.conj(g)
-    z0, z0b = k.center, np.conj(k.center)
-    b0_raw = (-p ** 4 + q * (f * g + fb * gb) * p ** 3
-              - (z0 * (f + g) + z0b * (fb + gb)) * p ** 2 * q
-              + abs(z0) ** 2 * p ** 2 - (f * g + fb * gb) * q ** 3 * p + q ** 4
-              + (z0b * (f + g) + z0 * (fb + gb)) * p * q ** 2
-              - abs(z0) ** 2 * q ** 2)
-    im_rel = abs(np.imag(b0_raw)) / max(abs(b0_raw), 1e-300)
-    conj_rel = abs(coeffs.b2 - np.conj(coeffs.b1)) / max(abs(coeffs.b1), 1e-300)
+    _, _, _, b0, b1, b2 = _raw_coeffs(fam, k)
+    im_rel = abs(np.imag(b0)) / max(abs(b0), 1e-300)
+    conj_rel = abs(b2 - np.conj(b1)) / max(abs(b1), 1e-300)
     return float(im_rel), float(conj_rel)
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, RealnessViolation
-from .family import PonceletFamily, Triangle
-from .inversive import circumcenter
+from .family import PonceletFamily
 
 _REAL_TOL = 1e-9
 
@@ -42,26 +41,6 @@ def _real(value: complex, what: str) -> float:
 def power(p: complex, c) -> float:
     """|p - center|^2 - radius^2: negative inside, zero on, positive outside."""
     return abs(p - c.center) ** 2 - c.radius ** 2
-
-
-def power_via_zeta(z0: complex, t: Triangle) -> float:
-    """Circumcircle power via the zeta form of the circle equation.
-
-    With zeta = -conj(X3), |z|^2 + zeta z + conj(zeta z) is constant-offset
-    from the power; anchoring at a vertex (where the power vanishes)
-    removes the offset without computing the circumradius.
-    """
-    w1, w2, w3 = t
-    num = (abs(w1) ** 2 * (np.conj(w3) - np.conj(w2))
-           + abs(w2) ** 2 * (np.conj(w1) - np.conj(w3))
-           + abs(w3) ** 2 * (np.conj(w2) - np.conj(w1)))
-    den = (w1 * (np.conj(w2) - np.conj(w3)) + w2 * (np.conj(w3) - np.conj(w1))
-           + w3 * (np.conj(w1) - np.conj(w2)))
-    circumcenter(t)  # raises CollinearVertices on degenerate input
-    zeta = num / den
-    def form(z):
-        return abs(z) ** 2 + 2 * np.real(zeta * z)
-    return form(z0) - form(w1)
 
 
 def p3_preimage(fam: PonceletFamily) -> complex:

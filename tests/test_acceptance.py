@@ -142,7 +142,7 @@ def test_04_conic_type_law():
     ok = True
     seen = []
     for k, want_loc, want_type in cases:
-        rep = verify_conic_type(fam, k)
+        rep = verify_conic_type(sweep(fam, k, 4096))
         seen.append(f"{rep.o_location.kind.value}->{rep.conic_type.value}")
         ok &= (rep.consistent and rep.o_location.kind == want_loc
                and rep.conic_type == want_type)
@@ -250,7 +250,7 @@ def test_09_chapple_case():
 
 def test_10_similitude():
     fam = _ref_family()
-    rep = similitude_check(fam, REF_K, 720)
+    rep = similitude_check(sweep(fam, REF_K, 720))
     assert rep.status == "ok", "expected two real tangents from O"
     ok = (max(rep.locus_residuals) < 1e-7
           and all(d < 1e-4 * rep.scale for d in rep.cloud_distances)
@@ -263,7 +263,7 @@ def test_10_similitude():
 
 def test_11_homothety():
     fam = _ref_family()
-    rep = homothety_check(fam, radius=1.0, n=720)
+    rep = homothety_check(sweep(fam, Circle(p3_point(fam).point, 1.0), 720))
     assert rep.status == "ok"
     ok = (rep.angle_defect < 1e-7 and rep.eigenratio_defect < 1e-7
           and rep.ratio_defect < 1e-7)

@@ -21,7 +21,7 @@ from poncelet_inversive import (
     verify_conic_type,
 )
 
-from conftest import EXTERIOR_K, REF_K, random_family
+from conftest import EXTERIOR_K, REF_K, random_circle, random_family
 
 
 class TestSweep:
@@ -58,6 +58,30 @@ class TestSweep:
             assert abs(implied - abs(sw.power_at_O[i])) < 1e-9 * implied
 
 
+def _margin(fam, k):
+    """Signed distance of O from the sweep-region boundary in closed form:
+    (|b0| - 2|b2|) / (|b0| + 2|b2|), negative when O is crossed."""
+    co = inversive_coeffs(fam, k)
+    return (abs(co.b0) - 2 * abs(co.b2)) / (abs(co.b0) + 2 * abs(co.b2))
+
+
+def _at_margin(fam, target):
+    """Inversion circle on the REF_K -> EXTERIOR_K segment whose margin is
+    target, by bisection (the margin runs from negative to positive)."""
+    def circle(t):
+        return Circle(REF_K.center + t * (EXTERIOR_K.center - REF_K.center),
+                      REF_K.radius)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _margin(fam, circle(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return circle(0.5 * (lo + hi))
+
+
 class TestClassifyO:
     def test_reference_cases(self, fam):
         loc = classify_O(fam, REF_K)
@@ -74,21 +98,42 @@ class TestClassifyO:
         assert loc.kind is OLocationKind.INTERIOR
         assert loc.crossing_count == 0
 
+    def test_closed_form_matches_sampled_oracle(self, fam, rng):
+        # Off the boundary the closed form and the sign-change count of the
+        # directly computed power agree on kind and crossings.
+        cases = [(fam, _at_margin(fam, m)) for m in (-1e-3, 1e-3)]
+        cases.append((fam, Circle(0j, 0.7)))  # inside every circumcircle
+        while len(cases) < 5:
+            case = (random_family(rng), random_circle(rng))
+            if abs(_margin(*case)) > 1e-4:
+                cases.append(case)
+        seen = set()
+        for f, k in cases:
+            assert abs(_margin(f, k)) > 1e-4
+            loc = classify_O(f, k)
+            oracle = verify_conic_type(sweep(f, k, 4096)).o_location
+            assert (loc.kind, loc.crossing_count) \
+                == (oracle.kind, oracle.crossing_count)
+            seen.add((loc.kind, loc.crossing_count))
+        assert seen == {(OLocationKind.EXTERIOR, 0),
+                        (OLocationKind.INTERIOR, 6),
+                        (OLocationKind.INTERIOR, 0)}
+
     def test_grid_refinement_stability(self, fam):
-        a = classify_O(fam, REF_K, n=1024)
-        b = classify_O(fam, REF_K, n=4096)
+        a = verify_conic_type(sweep(fam, REF_K, 1024)).o_location
+        b = verify_conic_type(sweep(fam, REF_K, 4096)).o_location
         assert (a.kind, a.crossing_count) == (b.kind, b.crossing_count)
 
     def test_conic_type_law_consistency(self, fam):
-        rep = verify_conic_type(fam, REF_K)
+        rep = verify_conic_type(sweep(fam, REF_K, 4096))
         assert rep.consistent and rep.conic_type is ConicType.HYPERBOLA
-        rep = verify_conic_type(fam, EXTERIOR_K)
+        rep = verify_conic_type(sweep(fam, EXTERIOR_K, 4096))
         assert rep.consistent and rep.conic_type is ConicType.ELLIPSE
 
 
 class TestSimilitude:
     def test_reference_config(self, fam):
-        rep = similitude_check(fam, REF_K, 360)
+        rep = similitude_check(sweep(fam, REF_K, 360))
         assert rep.status == "ok"
         assert len(rep.tangents) == 2
         assert max(rep.locus_residuals) < 1e-7
@@ -99,13 +144,14 @@ class TestSimilitude:
         # Center O on the X3 locus centroid: no real tangents exist.
         sw = sweep(fam, REF_K, 128)
         centroid = complex(np.mean(sw.valid("x3")))
-        rep = similitude_check(fam, Circle(centroid, 0.4), 128)
+        rep = similitude_check(sweep(fam, Circle(centroid, 0.4), 128))
         assert rep.status == "no-real-tangents"
 
 
 class TestHomothety:
     def test_reference_family(self, fam):
-        rep = homothety_check(fam, radius=0.8, n=360)
+        rep = homothety_check(
+            sweep(fam, Circle(p3_point(fam).point, 0.8), 360))
         assert rep.status == "ok"
         assert rep.angle_defect < 1e-7
         assert rep.eigenratio_defect < 1e-7
@@ -116,7 +162,8 @@ class TestHomothety:
     def test_degenerate_chapple_locus(self):
         # Bicentric family: X3 is pinned at the origin, no conic to compare.
         fam = PonceletFamily.from_axes(0.3, 0.3, 1.0, 1.0)
-        assert homothety_check(fam, n=128).status == "degenerate"
+        assert homothety_check(sweep(
+            fam, Circle(p3_point(fam).point, 1.0), 128)).status == "degenerate"
 
 
 class TestNonConic:

@@ -3,10 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from poncelet_inversive import Conic, conic_fit
-from poncelet_inversive.cli import ConfigError, load_config, main
+from poncelet_inversive import (
+    Circle,
+    Conic,
+    PonceletFamily,
+    conic_fit,
+    exact_locus_conic,
+    inversive_coeffs,
+)
+from poncelet_inversive import analysis, family
+from poncelet_inversive.cli import (
+    ConfigError,
+    cmd_classify,
+    load_config,
+    main,
+    run_verify,
+)
 
-from conftest import REF_A, REF_B, REF_F, REF_G, REF_K
+from conftest import EXTERIOR_K, REF_A, REF_B, REF_F, REF_G, REF_K
 
 REF_CONFIG = {
     "family": {"f": [REF_F.real, REF_F.imag], "g": [REF_G.real, REF_G.imag],
@@ -152,3 +166,78 @@ class TestCommands:
                      "--out", str(tmp_path / "out")]) == 0
         text = capsys.readouterr().out
         assert "homothety: PASS" in text
+
+
+def _count_solves(monkeypatch):
+    """Record every cubic solve, through analysis' by-name import too."""
+    thetas = []
+    solve = family.triangle_at
+
+    def counted(fam, theta):
+        thetas.append(theta)
+        return solve(fam, theta)
+
+    monkeypatch.setattr(family, "triangle_at", counted)
+    monkeypatch.setattr(analysis, "triangle_at", counted)
+    return thetas
+
+
+class TestSolveCounts:
+    def test_verify_solves_each_sample_once(self, cfg_path, monkeypatch):
+        thetas = _count_solves(monkeypatch)
+        cfg = load_config(cfg_path)
+        _, ok = run_verify(cfg)
+        assert ok
+        assert len(thetas) == cfg.samples
+
+    def test_classify_solves_nothing(self, cfg_path, monkeypatch, capsys):
+        thetas = _count_solves(monkeypatch)
+        assert cmd_classify(load_config(cfg_path)) == 0
+        assert thetas == []
+
+
+def _boundary_center():
+    """Point of the REF_K -> EXTERIOR_K segment where the exact X3' conic
+    turns from hyperbola to ellipse, by bisecting its discriminant."""
+    fam = PonceletFamily.from_axes(REF_F, REF_G, REF_A, REF_B)
+
+    def disc(c):
+        conic = exact_locus_conic(inversive_coeffs(fam, Circle(c, REF_K.radius)))
+        return conic.B ** 2 - 4 * conic.A * conic.C
+
+    lo, hi = REF_K.center, EXTERIOR_K.center
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if disc(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+LAW = {("Exterior", 0): "Ellipse", ("Interior", 6): "Hyperbola",
+       ("Interior", 0): "Ellipse", ("Boundary", 3): "Parabola"}
+
+
+def test_classify_obeys_law_near_boundary(tmp_path, capsys):
+    boundary = _boundary_center()
+    outward = EXTERIOR_K.center - REF_K.center
+    outward /= abs(outward)
+    seen = []
+    for exponent in range(4, 11):
+        for side, kinds in ((-1, ("Interior", "Boundary")),
+                            (1, ("Exterior", "Boundary"))):
+            o = boundary + side * 10.0 ** -exponent * REF_A * outward
+            raw = json.loads(json.dumps(REF_CONFIG))
+            raw["inversion"]["center"] = [o.real, o.imag]
+            path = tmp_path / "near.json"
+            path.write_text(json.dumps(raw))
+            assert main(["classify", "--config", str(path)]) == 0
+            fields = dict(item.split("=") for item in
+                          capsys.readouterr().out.split())
+            kind, crossings = fields["O"], int(fields["crossings"])
+            seen.append((side, exponent, kind, fields["locus"]))
+            assert kind in kinds, seen[-1]
+            assert LAW.get((kind, crossings)) == fields["locus"], seen[-1]
+    assert {kind for _, _, kind, _ in seen} \
+        == {"Interior", "Exterior", "Boundary"}

@@ -11,7 +11,7 @@ from poncelet_inversive import (
     triangle_at,
 )
 from poncelet_inversive.errors import CayleyViolation, FamilyError, NotNested
-from poncelet_inversive.family import chapple_radius, solve_inner_radius
+from poncelet_inversive.family import solve_inner_radius
 
 from conftest import random_family
 
@@ -124,14 +124,6 @@ class TestInnerEllipse:
 
 
 class TestInnerCircleFamilies:
-    def test_chapple_radius_closure(self):
-        a = 1.0
-        center = 0.2 + 0.1j
-        r = chapple_radius(a, center)
-        fam = family_from_inner_circle(a, a, center, r)
-        assert fam.f == pytest.approx(fam.g)
-        assert abs(fam.f - center) < 1e-12
-
     def test_generic_cayley_violation(self):
         with pytest.raises(CayleyViolation):
             family_from_inner_circle(2.0, 1.0, 0.1 + 0.2j, 0.3)

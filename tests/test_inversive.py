@@ -164,6 +164,26 @@ class TestClosedForm:
             pw = abs(REF_K.center - circ.center) ** 2 - circ.radius ** 2
             assert co.denominator(np.exp(1j * th)) == pytest.approx(2 * pw)
 
+    def test_closed_form_scales_with_ab(self, rng):
+        # denominator = a b power(O, circumcircle) and numerator =
+        # a b r^2 (X3 - O) on every family; a b = 2 only on the reference.
+        worst_den = worst_num = 0.0
+        for _ in range(200):
+            fam, k = random_family(rng), random_circle(rng)
+            co = inversive_coeffs(fam, k)
+            ab = fam.a * fam.b
+            for th in 2 * np.pi * np.arange(8) / 8:
+                lam = np.exp(1j * th)
+                circ = circumcircle(affine_image(fam, triangle_at(fam, th)))
+                u = circ.center - k.center
+                pw = abs(u) ** 2 - circ.radius ** 2
+                worst_den = max(worst_den, abs(co.denominator(lam) - ab * pw)
+                                / (ab * (abs(u) ** 2 + circ.radius ** 2)))
+                worst_num = max(worst_num,
+                                abs(co.numerator(lam) - ab * co.r2 * u)
+                                / (ab * co.r2 * (abs(u) + circ.radius)))
+        assert worst_den < 1e-12 and worst_num < 1e-12
+
     def test_on_circumcircle_raises(self, fam):
         co = inversive_coeffs(fam, REF_K)
 

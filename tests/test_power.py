@@ -5,7 +5,6 @@ from poncelet_inversive import (
     Circle,
     PonceletFamily,
     PowerKind,
-    Triangle,
     affine_image,
     circumcircle,
     p3_point,
@@ -14,10 +13,8 @@ from poncelet_inversive import (
     p5_point,
     pi3_affine_in_lambda,
     power,
-    power_via_zeta,
     triangle_at,
 )
-from poncelet_inversive.errors import CollinearVertices
 from poncelet_inversive.family import inner_ellipse
 from poncelet_inversive.inversive import euler_circle
 
@@ -30,23 +27,6 @@ class TestPower:
         assert power(0j, c) == pytest.approx(-1.0)
         assert power(1 + 0j, c) == pytest.approx(0.0)
         assert power(3 + 4j, c) == pytest.approx(24.0)
-
-    def test_zeta_form_matches_direct(self, rng):
-        for _ in range(20):
-            t = Triangle(*(rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
-                           for _ in range(3)))
-            z0 = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
-            assert power_via_zeta(z0, t) == pytest.approx(
-                power(z0, circumcircle(t)), abs=1e-10)
-
-    def test_zeta_anchors(self):
-        t = Triangle(1 + 0j, 1j, -1 + 0j)
-        assert power_via_zeta(t.v2, t) == pytest.approx(0.0)
-        assert power_via_zeta(0j, t) == pytest.approx(-1.0)
-
-    def test_zeta_collinear_raises(self):
-        with pytest.raises(CollinearVertices):
-            power_via_zeta(0j, Triangle(0j, 1 + 0j, 2 + 0j))
 
 
 class TestP3:
