@@ -43,59 +43,50 @@ _BOUNDARY_POWER_TOL = 1e-6
 
 @dataclass
 class SweepResult:
-    """Per-sample loci of a uniform theta sweep.
+    """Per-sample loci of a uniform theta sweep, as complex arrays.
 
-    Center lists hold None at skipped indices (inversion center on the
+    Center arrays hold NaN at skipped indices (inversion center on the
     circumcircle there, inversive circumcenter at infinity).  `worlds`
-    keeps every world-chart triangle so checks need not solve again.
+    holds every world-chart triangle as one Triangle of vertex arrays, so
+    checks need not solve again.
     """
 
     thetas: np.ndarray
-    x3: list
-    x3p: list
-    inv_x3: list
-    x2p: list
-    x4p: list
-    x5p: list
+    x3: np.ndarray
+    x3p: np.ndarray
+    inv_x3: np.ndarray
+    x2p: np.ndarray
+    x4p: np.ndarray
+    x5p: np.ndarray
     power_at_O: np.ndarray
     skipped: list[int]
     family: PonceletFamily
     inversion: Circle
-    worlds: list[Triangle]
+    worlds: Triangle
 
     def valid(self, name: str) -> np.ndarray:
-        pts = [p for p in getattr(self, name) if p is not None]
-        return np.array(pts, dtype=complex)
+        pts = getattr(self, name)
+        return pts[~np.isnan(pts)]
 
 
 def sweep(fam: PonceletFamily, k: Circle, n: int = 720) -> SweepResult:
     if n < 64:
         raise ValueError("need at least 64 samples")
     thetas = 2 * np.pi * np.arange(n) / n
-    x3, x3p, inv_x3, x2p, x4p, x5p, worlds = [], [], [], [], [], [], []
-    pow_o = np.empty(n)
-    skipped = []
-    for i, th in enumerate(thetas):
-        w = affine_image(fam, triangle_at(fam, th))
-        worlds.append(w)
-        circ = circumcircle(w)
-        x3.append(circ.center)
-        pw = power(k.center, circ)
-        pow_o[i] = pw
-        if abs(pw) < _SKIP_POWER_TOL * circ.radius ** 2:
-            skipped.append(i)
-            for lst in (x3p, inv_x3, x2p, x4p, x5p):
-                lst.append(None)
-            continue
-        tp = inversive_triangle(w, k)
-        x3p.append(circumcenter(tp))
-        inv_x3.append(invert_point(circ.center, k)
-                      if abs(circ.center - k.center) > 1e-12 else None)
-        x2p.append(barycenter(tp))
-        x4p.append(orthocenter(tp))
-        x5p.append(euler_center(tp))
-    return SweepResult(thetas, x3, x3p, inv_x3, x2p, x4p, x5p,
-                       pow_o, skipped, fam, k, worlds)
+    worlds = affine_image(fam, triangle_at(fam, thetas))
+    circ = circumcircle(worlds)
+    pow_o = power(k.center, circ)
+    kept = np.abs(pow_o) >= _SKIP_POWER_TOL * circ.radius ** 2
+    tp = inversive_triangle(Triangle(*(v[kept] for v in worlds)), k)
+    x3p, inv_x3, x2p, x4p, x5p = np.full((5, n), complex(np.nan, np.nan))
+    x3p[kept] = circumcenter(tp)
+    x2p[kept] = barycenter(tp)
+    x4p[kept] = orthocenter(tp)
+    x5p[kept] = euler_center(tp)
+    off_o = kept & (np.abs(circ.center - k.center) > 1e-12)
+    inv_x3[off_o] = invert_point(circ.center[off_o], k)
+    return SweepResult(thetas, circ.center, x3p, inv_x3, x2p, x4p, x5p,
+                       pow_o, np.flatnonzero(~kept).tolist(), fam, k, worlds)
 
 
 class OLocationKind(enum.Enum):
@@ -147,7 +138,7 @@ def _sampled_location(sw: SweepResult) -> OLocation:
     AmbiguousBoundary.
     """
     pw = sw.power_at_O
-    r2 = np.abs(np.array(sw.worlds)[:, 0] - np.array(sw.x3)) ** 2
+    r2 = np.abs(sw.worlds.v1 - sw.x3) ** 2
     prev, nxt = np.roll(pw, 1), np.roll(pw, -1)
     crossings = int(np.count_nonzero(pw * nxt < 0))
     eps = _BOUNDARY_POWER_TOL * r2
@@ -223,7 +214,7 @@ def similitude_check(sw: SweepResult) -> SimilitudeReport:
     rep = SimilitudeReport(status="ok", tangents=lines, scale=scale)
     for line in lines:
         rep.locus_residuals.append(tangency_residual(l3p, line))
-        d = np.array([line.signed_distance(p) for p in cloud])
+        d = line.signed_distance(cloud)
         rep.cloud_distances.append(float(np.min(np.abs(d))))
         band = 1e-4 * scale
         rep.cloud_one_sided.append(bool(np.all(d > -band) or np.all(d < band)))
@@ -323,7 +314,7 @@ def nonconic_evidence(sw: SweepResult) -> NonConicReport:
             conic_like[name] = True  # a point locus is (degenerately) conic
             continue
         c = conic_fit(pts)
-        resid = max(conic_residual(c, p) for p in pts)
+        resid = float(np.max(conic_residual(c, pts)))
         fits[name] = CenterFitReport(name, resid, scale, False)
         conic_like[name] = resid < 1e-9 * scale
     return NonConicReport(fits, conic_like)

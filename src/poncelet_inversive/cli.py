@@ -81,58 +81,42 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(fam, k, samples, raw.get("tolerances", {}), raw)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_csv(sw: analysis.SweepResult, path: Path) -> None:
-    lines = [CSV_HEADER]
-    skipped_set = set(sw.skipped)
-    for i, th in enumerate(sw.thetas):
-        cells = [_fmt(th), _fmt(sw.x3[i].real), _fmt(sw.x3[i].imag)]
-        skipped = i in skipped_set
-        for name in ("x3p", "inv_x3", "x2p", "x4p", "x5p"):
-            p = getattr(sw, name)[i]
-            if p is None:
-                cells += ["", ""]
-            else:
-                cells += [_fmt(p.real), _fmt(p.imag)]
-        cells.append(_fmt(sw.power_at_O[i]))
-        cells.append("1" if skipped else "0")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    """One row per sample; '%.17g' % x equals format(x, '.17g'), and the
+    NaN cells of skipped samples are written empty."""
+    cols = [sw.thetas]
+    for name in ("x3", "x3p", "inv_x3", "x2p", "x4p", "x5p"):
+        cols += [getattr(sw, name).real, getattr(sw, name).imag]
+    flags = np.zeros(len(sw.thetas))
+    flags[sw.skipped] = 1
+    rows = np.column_stack(cols + [sw.power_at_O, flags]).tolist()
+    fmt = ",".join(["%.17g"] * (len(cols) + 1)) + ",%d"
+    body = "\n".join(fmt % tuple(row) for row in rows).replace("nan", "")
+    path.write_text(CSV_HEADER + "\n" + body + "\n")
 
 
-def _svg_path(points, close=False) -> str:
-    cmds = []
-    pen = "M"
-    for p in points:
-        if p is None:
-            pen = "M"
-            continue
-        cmds.append(f"{pen}{p.real:.6g} {p.imag:.6g}")
-        pen = "L"
-    if close and cmds:
-        cmds.append("Z")
-    return " ".join(cmds)
+def _svg_path(points) -> str:
+    """Polyline through the points; a NaN point lifts the pen."""
+    pts = np.asarray(points, dtype=complex)
+    drawn = ~np.isnan(pts)
+    pens = np.where(np.r_[False, drawn][:-1], "L", "M")[drawn].tolist()
+    xy = np.column_stack([pts[drawn].real, pts[drawn].imag]).ravel()
+    return " ".join(pen + "%.6g %.6g" for pen in pens) % tuple(xy.tolist())
 
 
-def _conic_polyline(c: conics.Conic, bbox, n=512):
+def _conic_polyline(c: conics.Conic, bbox, n=512) -> np.ndarray:
     """Sample the conic inside a bounding box by scanning both axes."""
     xmin, xmax, ymin, ymax = bbox
     A, B, C, D, E, F = c.coeffs
-    pts = []
-    for x in np.linspace(xmin, xmax, n):
-        aa, bb, cc = C, B * x + E, A * x * x + D * x + F
-        if abs(aa) < 1e-14:
-            continue
-        disc = bb * bb - 4 * aa * cc
-        if disc >= 0:
-            for sgn in (1, -1):
-                y = (-bb + sgn * np.sqrt(disc)) / (2 * aa)
-                if ymin <= y <= ymax:
-                    pts.append(complex(x, y))
-    return pts
+    x = np.linspace(xmin, xmax, n)
+    aa, bb, cc = C, B * x + E, A * x * x + D * x + F
+    if abs(aa) < 1e-14:
+        return np.empty(0, dtype=complex)
+    disc = bb * bb - 4 * aa * cc
+    root = np.sqrt(np.where(disc >= 0, disc, 0.0))
+    y = np.column_stack([-bb + root, -bb - root]) / (2 * aa)
+    inside = (disc >= 0)[:, None] & (ymin <= y) & (y <= ymax)
+    return (x[:, None] + 1j * y)[inside]
 
 
 def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
@@ -152,9 +136,9 @@ def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
     tilt = np.degrees(np.angle(inner.focus2 - inner.focus1)) \
         if inner.focus2 != inner.focus1 else 0.0
 
-    def poly(name, color, close=True):
-        d = _svg_path(getattr(sw, name) + [getattr(sw, name)[0]]
-                      if close else getattr(sw, name))
+    def poly(name, color):
+        pts = getattr(sw, name)
+        d = _svg_path(np.append(pts, pts[0]))
         return (f'<path d="{d}" fill="none" stroke="{color}" '
                 f'stroke-width="{stroke}"/>')
 
@@ -232,17 +216,20 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     sw = analysis.sweep(fam, k, cfg.samples)
 
     # Closed form vs direct composition, on about 64 of the swept samples.
-    stride = max(1, len(sw.thetas) // 64)
-    errs = []
-    for th, w in zip(sw.thetas[::stride], sw.worlds[::stride]):
+    closed, at = [], []
+    for i in range(0, len(sw.thetas), max(1, len(sw.thetas) // 64)):
         try:
-            closed = inversive.inversive_circumcenter_closed(coeffs, th)
+            closed.append(
+                inversive.inversive_circumcenter_closed(coeffs, sw.thetas[i]))
         except GeometryError:
             continue
-        direct = inversive.circumcenter(inversive.inversive_triangle(w, k))
-        errs.append(abs(closed - direct) / max(1.0, abs(direct)))
-    all_ok &= _check(lines, "closed_form_vs_direct", max(errs) < tol.get(
-        "closed_form", 1e-9), max(errs))
+        at.append(i)
+    direct = inversive.circumcenter(inversive.inversive_triangle(
+        family.Triangle(*(v[at] for v in sw.worlds)), k))
+    err = np.max(np.abs(np.array(closed) - direct)
+                 / np.maximum(1.0, np.abs(direct)))
+    all_ok &= _check(lines, "closed_form_vs_direct",
+                     err < tol.get("closed_form", 1e-9), err)
 
     # Projectivity hypotheses.
     im_rel, conj_rel = inversive.hypothesis_residuals(fam, k)
@@ -257,7 +244,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
                float(np.linalg.norm(exact.coeffs + fitted.coeffs)))
     all_ok &= _check(lines, "exact_vs_fitted_conic",
                      dist < tol.get("conic_match", 1e-8), dist)
-    resid = max(conics.conic_residual(exact, p) for p in sw.valid("x3p"))
+    resid = np.max(conics.conic_residual(exact, sw.valid("x3p")))
     all_ok &= _check(lines, "sweep_on_exact_conic",
                      resid < tol.get("locus_residual", 1e-9), resid)
 
@@ -271,34 +258,33 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     except GeometryError as exc:
         all_ok &= _check(lines, "conic_type_law", False, note=str(exc))
 
-    # Collinearity, ratio, pencil.
-    circles = [inversive.circumcircle(w) for w in sw.worlds]
-    coll_max = ratio_max = pencil_max = 0.0
-    for x3, x3p, w, circ in zip(sw.x3, sw.x3p, sw.worlds, circles):
-        if x3p is None:
-            continue
-        try:
-            c, r = inversive.collinearity_and_ratio(x3, k.center, x3p, circ, k)
-        except GeometryError:
-            continue
-        coll_max, ratio_max = max(coll_max, c), max(ratio_max, r)
-        pencil_max = max(pencil_max, inversive.pencil_membership(
-            circ, k, inversive.circumcircle(inversive.inversive_triangle(w, k))))
-    all_ok &= _check(lines, "collinearity", coll_max < 1e-9, coll_max)
-    all_ok &= _check(lines, "distance_ratio", ratio_max < 1e-9, ratio_max)
-    all_ok &= _check(lines, "pencil_membership", pencil_max < 1e-9, pencil_max)
+    # Collinearity, ratio, pencil, on the unskipped samples (NaN compares
+    # False) where O is neither X3 nor X3' (collinearity_and_ratio
+    # rejects those).
+    circles = inversive.circumcircle(sw.worlds)
+    at = ((np.abs(sw.x3 - k.center) >= 1e-10)
+          & (np.abs(sw.x3p - k.center) >= 1e-10))
+    circ = inversive.Circle(circles.center[at], circles.radius[at])
+    coll, ratio = inversive.collinearity_and_ratio(
+        sw.x3[at], k.center, sw.x3p[at], circ, k)
+    pencil = inversive.pencil_membership(circ, k, inversive.circumcircle(
+        inversive.inversive_triangle(
+            family.Triangle(*(v[at] for v in sw.worlds)), k)))
+    for name, res in (("collinearity", coll), ("distance_ratio", ratio),
+                      ("pencil_membership", pencil)):
+        res = np.max(res, initial=0.0)
+        all_ok &= _check(lines, name, res < 1e-9, res)
 
     # Constant power points.
     res3 = p3_point(fam)
-    pows = np.array([power_of_point(res3.point, circ) for circ in circles])
+    pows = power_of_point(res3.point, circles)
     rel_std = pows.std() / abs(pows.mean())
     mean_err = abs(pows.mean() - res3.invariant_power) / abs(res3.invariant_power)
     all_ok &= _check(lines, "p3_constant_power",
                      rel_std < 1e-9 and mean_err < 1e-9, max(rel_std, mean_err))
 
     res5 = p5_point(fam)
-    pows5 = np.array([power_of_point(res5.point, inversive.euler_circle(w))
-                      for w in sw.worlds])
+    pows5 = power_of_point(res5.point, inversive.euler_circle(sw.worlds))
     rel_std5 = pows5.std() / abs(pows5.mean())
     mean_err5 = abs(pows5.mean() - res5.invariant_power) / abs(res5.invariant_power)
     all_ok &= _check(lines, "p5_constant_power",
@@ -336,12 +322,10 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
         _skip(lines, "homothety", "(inversion center is not P3)")
 
     # Poncelet closure.
-    closure = 0.0
     world_inner = family.inner_ellipse_world(fam)
-    for w in sw.worlds[:: max(1, len(sw.thetas) // 120)]:
-        for s1, s2 in ((w.v1, w.v2), (w.v2, w.v3), (w.v3, w.v1)):
-            closure = max(closure,
-                          world_inner.side_tangency_residual(s1, s2))
+    v1, v2, v3 = (v[:: max(1, len(sw.thetas) // 120)] for v in sw.worlds)
+    closure = max(np.max(world_inner.side_tangency_residual(s1, s2))
+                  for s1, s2 in ((v1, v2), (v2, v3), (v3, v1)))
     all_ok &= _check(lines, "poncelet_closure", closure < 1e-8, closure)
 
     # Non-conic evidence (report only).

@@ -153,20 +153,21 @@ def conic_fit(points) -> Conic:
     Exact through the points when exactly 5 independent points are given.
     Raises DegenerateInput on rank deficiency or coincident points.
     """
-    pts = [complex(p) for p in points]
-    if len(pts) < 5:
+    arr = np.asarray(points, dtype=complex)
+    if len(arr) < 5:
         raise DegenerateInput("need at least 5 points to fit a conic")
-    arr = np.array(pts)
-    if len(pts) <= 64:  # pairwise coincidence check only at small sizes
+    if len(arr) <= 64:  # pairwise coincidence check only at small sizes
         d = np.abs(arr[:, None] - arr[None, :])
-        if np.any(d[np.triu_indices(len(pts), 1)] < 1e-12):
+        if np.any(d[np.triu_indices(len(arr), 1)] < 1e-12):
             raise DegenerateInput("coincident points in conic fit")
     x, y = arr.real, arr.imag
     design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
     # Column scaling stabilizes the fit when coordinates are large.
     col = np.abs(design).max(axis=0)
     col[col == 0] = 1.0
-    _, s, vt = np.linalg.svd(design / col)
+    # The thin SVD keeps all six rows of vt from six points on, and skips
+    # the n x n U; five points need the full one for the null row.
+    _, s, vt = np.linalg.svd(design / col, full_matrices=len(arr) < 6)
     if s[4] <= 1e-10 * s[0]:
         raise DegenerateInput("design matrix rank < 5 (points on a line?)")
     return Conic(vt[-1] / col)

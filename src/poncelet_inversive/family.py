@@ -25,6 +25,8 @@ _FG_GUARD = 1e-10
 
 
 class Triangle(NamedTuple):
+    """Three vertices: complex scalars, or arrays of one shape (a batch)."""
+
     v1: complex
     v2: complex
     v3: complex
@@ -114,17 +116,23 @@ class PonceletFamily:
         return conic_from_ellipse(0j, self.a, self.b, 0.0)
 
 
-def triangle_at(fam: PonceletFamily, theta: float) -> Triangle:
+def triangle_at(fam: PonceletFamily, theta) -> Triangle:
     """Unit-circle-chart Poncelet triangle at parameter theta.
 
-    Roots are companion-matrix eigenvalues with one Newton polish step,
-    then projected radially onto the unit circle and sorted by argument.
+    theta may be a scalar or an array; each vertex then has theta's shape.
+    Roots are eigenvalues of the stacked companion matrices (the matrix
+    np.roots builds) with one Newton polish step, then projected radially
+    onto the unit circle and sorted by argument.
     """
-    lam = np.exp(1j * theta)
+    lam = np.exp(1j * np.asarray(theta, dtype=float))
     s1 = fam.f + fam.g + lam * np.conj(fam.f) * np.conj(fam.g)
     s2 = fam.f * fam.g + lam * (np.conj(fam.f) + np.conj(fam.g))
     s3 = lam
-    roots = np.roots([1.0, -s1, s2, -s3])
+    companion = np.zeros(lam.shape + (3, 3), dtype=complex)
+    companion[..., 0, :] = np.stack([s1, -s2, s3], axis=-1)
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    s1, s2, s3 = s1[..., None], s2[..., None], s3[..., None]
     # Newton polish against the monic cubic.
     pval = ((roots - s1) * roots + s2) * roots - s3
     dval = (3.0 * roots - 2.0 * s1) * roots + s2
@@ -135,8 +143,9 @@ def triangle_at(fam: PonceletFamily, theta: float) -> Triangle:
         raise RootToleranceExceeded(
             f"root left the unit circle by {np.max(drift):.3e}")
     roots = roots / np.abs(roots)
-    roots = roots[np.argsort(np.angle(roots) % (2 * np.pi))]
-    return Triangle(*roots)
+    order = np.argsort(np.angle(roots) % (2 * np.pi), axis=-1)
+    roots = np.take_along_axis(roots, order, axis=-1)
+    return Triangle(*np.moveaxis(roots, -1, 0))
 
 
 def affine_image(fam: PonceletFamily, t: Triangle) -> Triangle:

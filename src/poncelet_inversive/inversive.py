@@ -9,6 +9,10 @@ with b1 = conj(b2) and b0 real, so the denominator is a real scalar.  With
 a, b the outer semiaxes and r the inversion radius, the denominator equals
 a b power(z0, circumcircle(lam)) and the numerator equals a b r^2 (X3 - z0),
 where X3 is the world-chart circumcenter.
+
+The point-wise formulas (inversion, centers, circles, pencil and
+collinearity residuals) take scalars or arrays alike; a guard raises when
+any element of a batch trips it.
 """
 
 from __future__ import annotations
@@ -30,18 +34,22 @@ from .family import PonceletFamily, Triangle
 
 @dataclass(frozen=True)
 class Circle:
+    """One circle, or a batch when center and radius are arrays."""
+
     center: complex
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
+        if not np.all(np.asarray(self.radius) > 0):
             raise ValueError("circle radius must be positive")
-        object.__setattr__(self, "center", complex(self.center))
+        center = np.asarray(self.center, dtype=complex)
+        object.__setattr__(self, "center",
+                           complex(center) if center.ndim == 0 else center)
 
 
 def invert_point(z: complex, k: Circle) -> complex:
     """Inversion z -> z0 + r^2/(conj(z) - conj(z0)); an involution."""
-    if abs(z - k.center) <= 1e-12:
+    if np.any(np.abs(z - k.center) <= 1e-12):
         raise CenterSingularity("cannot invert the inversion center")
     return k.center + k.radius ** 2 / np.conj(z - k.center)
 
@@ -56,8 +64,8 @@ def circumcenter(t: Triangle) -> complex:
            + abs(w3) ** 2 * (w1 - w2))
     den = (np.conj(w1) * (w2 - w3) + np.conj(w2) * (w3 - w1)
            + np.conj(w3) * (w1 - w2))
-    scale = max(abs(w1 - w2), abs(w2 - w3), abs(w3 - w1))
-    if abs(den) <= 1e-12 * scale * scale:
+    scale = np.maximum.reduce([abs(w1 - w2), abs(w2 - w3), abs(w3 - w1)])
+    if np.any(abs(den) <= 1e-12 * scale * scale):
         raise CollinearVertices("triangle vertices are collinear")
     return num / den
 
@@ -192,24 +200,26 @@ def pencil_membership(c1: Circle, c2: Circle, c3: Circle) -> float:
     """Relative smallest singular value of the stacked circle 4-vectors.
 
     Each circle maps to (1, -2 cx, -2 cy, |c|^2 - r^2); three circles are
-    coaxial (one pencil) iff the 3x4 stack is rank deficient.
+    coaxial (one pencil) iff the 3x4 stack is rank deficient.  Batches of
+    circles broadcast against each other and give one residual per stack.
     """
-    rows = []
-    for c in (c1, c2, c3):
-        rows.append([1.0, -2 * c.center.real, -2 * c.center.imag,
-                     abs(c.center) ** 2 - c.radius ** 2])
-    s = np.linalg.svd(np.array(rows), compute_uv=False)
-    return float(s[-1] / s[0])
+    cells = np.broadcast_arrays(*(
+        x for c in (c1, c2, c3) for x in (
+            1.0, -2 * c.center.real, -2 * c.center.imag,
+            abs(c.center) ** 2 - c.radius ** 2)))
+    rows = np.stack(cells, axis=-1).reshape(cells[0].shape + (3, 4))
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s[..., -1] / s[..., 0]
 
 
 def collinearity_and_ratio(x3: complex, o: complex, x3p: complex,
                            circ: Circle, k: Circle) -> tuple[float, float]:
     """Residuals of the collinearity of X3, O, X3' and the distance ratio
     |O X3| / |O X3'| = |(|O - X3|^2 - R^2)| / r^2."""
-    if abs(x3 - o) < 1e-10 or abs(x3p - o) < 1e-10:
+    if np.any(np.abs(x3 - o) < 1e-10) or np.any(np.abs(x3p - o) < 1e-10):
         raise DegenerateConfiguration("O coincides with X3 or X3'")
     u, v = x3 - o, x3p - o
     coll = abs(np.imag(u * np.conj(v))) / (abs(u) * abs(v))
     ratio = abs(u) / abs(v)
     predicted = abs(abs(o - circ.center) ** 2 - circ.radius ** 2) / k.radius ** 2
-    return float(coll), float(abs(ratio - predicted) / ratio)
+    return coll, abs(ratio - predicted) / ratio

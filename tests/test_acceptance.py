@@ -155,7 +155,7 @@ def test_05_collinearity_and_ratio():
         fam = PonceletFamily.from_axes(f, g, a, b)
         sw = sweep(fam, k, 240)
         for i, th in enumerate(sw.thetas):
-            if sw.x3p[i] is None:
+            if np.isnan(sw.x3p[i]):
                 continue
             circ = circumcircle(affine_image(fam, triangle_at(fam, th)))
             c, r = collinearity_and_ratio(sw.x3[i], k.center, sw.x3p[i], circ, k)

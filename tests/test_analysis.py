@@ -20,6 +20,7 @@ from poncelet_inversive import (
     sweep,
     verify_conic_type,
 )
+from poncelet_inversive import analysis
 
 from conftest import EXTERIOR_K, REF_K, random_circle, random_family
 
@@ -31,7 +32,20 @@ class TestSweep:
         assert all(len(getattr(sw, n)) == 128
                    for n in ("x3", "x3p", "inv_x3", "x2p", "x4p", "x5p"))
         for i in sw.skipped:
-            assert sw.x3p[i] is None
+            assert np.isnan(sw.x3p[i])
+        assert len(sw.valid("x3p")) == 128 - len(sw.skipped)
+
+    def test_one_batched_solve(self, fam, monkeypatch):
+        solves = []
+        solve = analysis.triangle_at
+
+        def counted(f, theta):
+            solves.append(np.size(theta))
+            return solve(f, theta)
+
+        monkeypatch.setattr(analysis, "triangle_at", counted)
+        sweep(fam, REF_K, 128)
+        assert solves == [128]
 
     def test_minimum_samples(self, fam):
         with pytest.raises(ValueError):
@@ -51,7 +65,7 @@ class TestSweep:
         # power < 0 exactly when O is inside that circumcircle; compare
         # against the collinearity-ratio identity r^2 |x3 - O| / |x3' - O|.
         for i in range(64):
-            if sw.x3p[i] is None:
+            if np.isnan(sw.x3p[i]):
                 continue
             implied = REF_K.radius ** 2 * abs(sw.x3[i] - REF_K.center) \
                 / abs(sw.x3p[i] - REF_K.center)

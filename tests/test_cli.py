@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ class TestCommands:
         main(["sweep", "--config", cfg_path, "--out", str(out2)])
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_sweep_flags_sample_with_O_on_a_vertex(self, tmp_path):
+        # O on a vertex of the theta = 0 triangle lies on that circumcircle
+        # only, so sample 0 alone is skipped.
+        fam = PonceletFamily.from_axes(REF_F, REF_G, REF_A, REF_B)
+        o = complex(family.affine_image(fam, family.triangle_at(fam, 0.0)).v1)
+        sw = analysis.sweep(fam, Circle(o, 0.7), 256)
+        assert sw.skipped == [0]
+        for name in ("x3p", "inv_x3", "x2p", "x4p", "x5p"):
+            pts = sw.valid(name)
+            assert len(pts) == 255 and np.all(np.isfinite(pts))
+        path = write_cfg(tmp_path, lambda raw: raw["inversion"].update(
+            {"center": [o.real, o.imag]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--svg"]) == 0
+        rows = [row.split(",") for row in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][3:13] == [""] * 10 and rows[0][-1] == "1"
+        assert all(row[-1] == "0" and "" not in row for row in rows[1:])
+        meta = json.loads((out / "sweep_meta.json").read_text())
+        assert meta["skipped"] == [0]
+        assert ET.parse(out / "sweep.svg").getroot().tag.endswith("svg")
+
     def test_csv_round_trip_matches_meta(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         main(["sweep", "--config", cfg_path, "--out", str(out)])
@@ -174,7 +198,7 @@ def _count_solves(monkeypatch):
     solve = family.triangle_at
 
     def counted(fam, theta):
-        thetas.append(theta)
+        thetas.extend(np.ravel(theta))  # np.size(theta) solves
         return solve(fam, theta)
 
     monkeypatch.setattr(family, "triangle_at", counted)

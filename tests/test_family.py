@@ -10,7 +10,12 @@ from poncelet_inversive import (
     inner_ellipse_world,
     triangle_at,
 )
-from poncelet_inversive.errors import CayleyViolation, FamilyError, NotNested
+from poncelet_inversive.errors import (
+    CayleyViolation,
+    FamilyError,
+    NotNested,
+    RootToleranceExceeded,
+)
 from poncelet_inversive.family import solve_inner_radius
 
 from conftest import random_family
@@ -76,6 +81,27 @@ class TestTriangleAt:
         t0 = triangle_at(fam, 0.3)
         t1 = triangle_at(fam, 0.3 + 2 * np.pi)
         assert max(abs(a - b) for a, b in zip(t0, t1)) < 1e-10
+
+    def test_batch_matches_scalar_calls(self, rng):
+        # Includes the 0 / 2 pi wrap of the parameter.
+        thetas = np.r_[rng.uniform(0, 2 * np.pi, 200),
+                       0.0, 2 * np.pi, -1e-17, 2 * np.pi - 1e-15]
+        for _ in range(10):
+            fam = random_family(rng)
+            batch = triangle_at(fam, thetas)
+            assert all(v.shape == thetas.shape for v in batch)
+            scalar = np.array([triangle_at(fam, th) for th in thetas]).T
+            assert np.max(np.abs(np.array(batch) - scalar)) <= 1e-15
+
+    def test_batch_raises_off_the_unit_circle(self):
+        # A focus outside the disk (validation bypassed) puts two roots
+        # off the unit circle for every theta.
+        bad = object.__new__(PonceletFamily)
+        for name, value in (("f", 1.5 + 0j), ("g", 0.2j), ("p", 1.5),
+                            ("q", 0.5)):
+            object.__setattr__(bad, name, value)
+        with pytest.raises(RootToleranceExceeded):
+            triangle_at(bad, np.linspace(0, 2 * np.pi, 16))
 
     def test_continuity_of_vertex_set(self, fam):
         # Adjacent samples give nearby vertex sets (as sets, since the
