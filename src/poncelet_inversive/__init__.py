@@ -43,6 +43,7 @@ from .inversive import (
 from .power import (
     PowerKind,
     PowerPointResult,
+    circumcenter_affine_in_lambda,
     p3_point,
     p3_preimage,
     p5_constants,

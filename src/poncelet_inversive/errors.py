@@ -41,20 +41,12 @@ class CollinearVertices(GeometryError):
     """Triangle vertices are collinear; no circumcircle exists."""
 
 
-class HypothesisViolation(GeometryError):
-    """Closed-form coefficients failed a realness/conjugacy assertion."""
-
-
 class OnCircumcircle(GeometryError):
     """Inversion center lies on the circumcircle; locus point at infinity."""
 
 
 class DegenerateConfiguration(GeometryError):
     """Points coincide where a ratio or direction is required."""
-
-
-class RealnessViolation(GeometryError):
-    """An analytically real quantity evaluated with a large imaginary part."""
 
 
 class DegenerateDenominator(GeometryError):

@@ -164,6 +164,15 @@ def inner_ellipse_world(fam: PonceletFamily) -> EllipseGeom:
     return EllipseGeom.from_conic(c)
 
 
+def _preimage_foci(a: float, b: float, center: complex,
+                   r: float) -> tuple[complex, complex]:
+    """Foci of the unit-disk preimage of the world circle (center, r)."""
+    c = np.sqrt(a * a - b * b)
+    mid = complex(center.real / a, center.imag / b)
+    off = 1j * (r * c / (a * b))
+    return mid - off, mid + off
+
+
 def family_from_inner_circle(a: float, b: float, center: complex,
                              r_in: float) -> PonceletFamily:
     """Family whose inscribed conic is the circle (center, r_in).
@@ -178,11 +187,7 @@ def family_from_inner_circle(a: float, b: float, center: complex,
         raise FamilyError("outer semiaxes must satisfy a >= b > 0")
     if r_in <= 0:
         raise FamilyError("inner radius must be positive")
-    center = complex(center)
-    c = np.sqrt(a * a - b * b)
-    mid = complex(center.real / a, center.imag / b)
-    off = 1j * (r_in * c / (a * b))
-    f, g = mid - off, mid + off
+    f, g = _preimage_foci(a, b, complex(center), r_in)
     if abs(f) >= 1 or abs(g) >= 1:
         raise NotNested("preimage foci fall outside the unit disk")
     closure = abs(1 - np.conj(f) * g)
@@ -200,10 +205,7 @@ def solve_inner_radius(a: float, b: float, center: complex,
     The closure defect is monotone near the root; plain bisection suffices.
     """
     def defect(r):
-        c = np.sqrt(a * a - b * b)
-        mid = complex(center.real / a, center.imag / b)
-        off = 1j * (r * c / (a * b))
-        f, g = mid - off, mid + off
+        f, g = _preimage_foci(a, b, center, r)
         return abs(1 - np.conj(f) * g) - 2 * r / b
 
     lo = bracket[0]

@@ -6,9 +6,10 @@ The closed form evaluated here is
     X3'(lam) = z0 + (a2 lam + a1 conj(lam) + a0) / (b2 lam + b1 conj(lam) + b0)
 
 with b1 = conj(b2) and b0 real, so the denominator is a real scalar.  With
-a, b the outer semiaxes and r the inversion radius, the denominator equals
-a b power(z0, circumcircle(lam)) and the numerator equals a b r^2 (X3 - z0),
-where X3 is the world-chart circumcenter.
+a, b the outer semiaxes and r the inversion radius, the denominator is
+a b power(z0, circumcircle(lam)) and the numerator is a b r^2 (X3 - z0),
+where X3 is the world-chart circumcenter; inversive_coeffs builds both
+from the lam-affine forms of X3 and of the power in power.py.
 
 The point-wise formulas (inversion, centers, circles, pencil and
 collinearity residuals) take scalars or arrays alike; a guard raises when
@@ -26,10 +27,10 @@ from .errors import (
     CenterSingularity,
     CollinearVertices,
     DegenerateConfiguration,
-    HypothesisViolation,
     OnCircumcircle,
 )
 from .family import PonceletFamily, Triangle
+from .power import circumcenter_affine_in_lambda, pi3_affine_in_lambda
 
 
 @dataclass(frozen=True)
@@ -121,46 +122,27 @@ class InversiveCoefficients:
         return 2 * abs(self.b2) + abs(self.b0)
 
 
-def _raw_coeffs(fam: PonceletFamily, k: Circle):
-    """Closed-form (a0, a1, a2, b0, b1, b2) as computed, before validation."""
-    f, g, p, q = fam.f, fam.g, fam.p, fam.q
-    fb, gb = np.conj(f), np.conj(g)
-    z0 = k.center
-    z0b = np.conj(z0)
-    r2 = k.radius ** 2
-
-    a2 = -p * q * (q * gb * fb - p) * r2
-    a1 = r2 * p * q * (f * g * p - q)
-    a0 = -((f + g) * p * q ** 2 - p ** 2 * q * (fb + gb)
-           + (p ** 2 - q ** 2) * z0) * r2
-    b2 = -q * p * (fb * gb * (p * z0 - q * z0b)
-                   + (q ** 2 - p ** 2) * (fb + gb) + p * z0b - q * z0)
-    b1 = np.conj(b2)
-    b0 = (-p ** 4 + q * (f * g + fb * gb) * p ** 3
-          - (z0 * (f + g) + z0b * (fb + gb)) * p ** 2 * q
-          + abs(z0) ** 2 * p ** 2 - (f * g + fb * gb) * q ** 3 * p + q ** 4
-          + (z0b * (f + g) + z0 * (fb + gb)) * p * q ** 2
-          - abs(z0) ** 2 * q ** 2)
-    return a0, a1, a2, b0, b1, b2
-
-
 def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
-    a0, a1, a2, b0, b1, b2 = _raw_coeffs(fam, k)
-    if abs(np.imag(b0)) > 1e-10 * max(abs(b0), 1e-300):
-        raise HypothesisViolation(f"Im(b0) = {np.imag(b0):.3e} is not negligible")
-    if abs(b2 - np.conj(b1)) > 1e-10 * max(abs(b1), 1e-300):
-        raise HypothesisViolation("b2 != conj(b1)")
-    return InversiveCoefficients(a0=complex(a0), a1=complex(a1), a2=complex(a2),
-                                 b0=float(np.real(b0)), b1=complex(b1),
-                                 b2=complex(b2), r2=k.radius ** 2, z0=k.center)
+    """a2, a1 = a b r^2 (c2, c1), a0 = a b r^2 (c0 - z0), b2 = a b M1(z0),
+    b1 = conj(b2) and b0 = a b M3(z0), with X3 = c2 lam + c1 conj(lam) + c0
+    and the circumcircle power M1 lam + conj(M1 lam) + M3 from power.py."""
+    c0, c1, c2 = circumcenter_affine_in_lambda(fam)
+    m1, m3 = pi3_affine_in_lambda(fam, k.center)
+    ab = fam.p ** 2 - fam.q ** 2
+    r2 = k.radius ** 2
+    return InversiveCoefficients(a0=ab * r2 * (c0 - k.center), a1=ab * r2 * c1,
+                                 a2=ab * r2 * c2, b0=ab * m3,
+                                 b1=ab * m1.conjugate(), b2=ab * m1, r2=r2,
+                                 z0=k.center)
 
 
 def hypothesis_residuals(fam: PonceletFamily, k: Circle) -> tuple[float, float]:
-    """Raw relative residuals of the projectivity hypotheses:
-    (|Im b0| / |b0|, |b2 - conj(b1)| / |b1|)."""
-    _, _, _, b0, b1, b2 = _raw_coeffs(fam, k)
-    im_rel = abs(np.imag(b0)) / max(abs(b0), 1e-300)
-    conj_rel = abs(b2 - np.conj(b1)) / max(abs(b1), 1e-300)
+    """Relative residuals of the projectivity hypotheses:
+    (|Im b0| / |b0|, |b2 - conj(b1)| / |b1|).  Both are 0 by construction,
+    since inversive_coeffs builds b0 real and b1 as conj(b2)."""
+    co = inversive_coeffs(fam, k)
+    im_rel = abs(np.imag(co.b0)) / max(abs(co.b0), 1e-300)
+    conj_rel = abs(co.b2 - np.conj(co.b1)) / max(abs(co.b1), 1e-300)
     return float(im_rel), float(conj_rel)
 
 

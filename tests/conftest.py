@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from poncelet_inversive import Circle, PonceletFamily
+from poncelet_inversive.errors import FamilyError
+from poncelet_inversive.family import family_from_inner_circle, solve_inner_radius
 
 # Reference configuration used across the suite: generic foci, 2:1 outer
 # ellipse, inversion center inside the circumcircle sweep region.
@@ -33,3 +35,16 @@ def random_family(rng, max_focus=0.6):
 def random_circle(rng):
     center = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
     return Circle(center, rng.uniform(0.3, 1.5))
+
+
+def random_inner_circle_family(rng):
+    """Family inscribed in a drawn circle; redraws until closure has a radius."""
+    while True:
+        a = rng.uniform(1.2, 3.0)
+        b = rng.uniform(0.5 * a, 0.95 * a)
+        center = complex(rng.uniform(-0.3, 0.3) * a, rng.uniform(-0.3, 0.3) * b)
+        try:
+            return family_from_inner_circle(
+                a, b, center, solve_inner_radius(a, b, center))
+        except FamilyError:
+            continue

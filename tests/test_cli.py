@@ -191,6 +191,23 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "homothety: PASS" in text
 
+    def test_inner_circle_family_with_small_gamma1(self, tmp_path, capsys):
+        # gamma1 nearly cancels on this inscribed-circle family, so P5 must
+        # come out real from the rounding alone.
+        a, b = 2.4767685645269455, 1.782570946591304
+        center = 0.12190868060156355 - 0.22755468527956835j
+        raw = {"family": {"a": a, "b": b,
+                          "inner_circle_center": [center.real, center.imag],
+                          "inner_circle_radius": family.solve_inner_radius(
+                              a, b, center)},
+               "inversion": {"center": [4.0, 3.0], "radius": 0.7}}
+        path = tmp_path / "inner.json"
+        path.write_text(json.dumps(raw))
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", str(path), "--out", out]) == 0
+        assert "p5_constant_power: PASS" in capsys.readouterr().out
+        assert main(["sweep", "--config", str(path), "--out", out]) == 0
+
 
 def _count_solves(monkeypatch):
     """Record every cubic solve, through analysis' by-name import too."""

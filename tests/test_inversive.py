@@ -7,6 +7,7 @@ from poncelet_inversive import (
     Triangle,
     affine_image,
     barycenter,
+    circumcenter_affine_in_lambda,
     circumcenter,
     circumcircle,
     euler_center,
@@ -167,14 +168,18 @@ class TestClosedForm:
     def test_closed_form_scales_with_ab(self, rng):
         # denominator = a b power(O, circumcircle) and numerator =
         # a b r^2 (X3 - O) on every family; a b = 2 only on the reference.
-        worst_den = worst_num = 0.0
+        # Both are built on X3 = c2 lam + c1 conj(lam) + c0.
+        worst_den = worst_num = worst_x3 = 0.0
         for _ in range(200):
             fam, k = random_family(rng), random_circle(rng)
             co = inversive_coeffs(fam, k)
+            c0, c1, c2 = circumcenter_affine_in_lambda(fam)
             ab = fam.a * fam.b
             for th in 2 * np.pi * np.arange(8) / 8:
                 lam = np.exp(1j * th)
                 circ = circumcircle(affine_image(fam, triangle_at(fam, th)))
+                worst_x3 = max(worst_x3, abs(c2 * lam + c1 * np.conj(lam) + c0
+                                             - circ.center) / fam.a)
                 u = circ.center - k.center
                 pw = abs(u) ** 2 - circ.radius ** 2
                 worst_den = max(worst_den, abs(co.denominator(lam) - ab * pw)
@@ -183,6 +188,7 @@ class TestClosedForm:
                                 abs(co.numerator(lam) - ab * co.r2 * u)
                                 / (ab * co.r2 * (abs(u) + circ.radius)))
         assert worst_den < 1e-12 and worst_num < 1e-12
+        assert worst_x3 < 1e-13
 
     def test_on_circumcircle_raises(self, fam):
         co = inversive_coeffs(fam, REF_K)

@@ -18,7 +18,7 @@ from poncelet_inversive import (
 from poncelet_inversive.family import inner_ellipse
 from poncelet_inversive.inversive import euler_circle
 
-from conftest import random_family
+from conftest import random_family, random_inner_circle_family
 
 
 class TestPower:
@@ -93,6 +93,18 @@ class TestP5:
                 for th in rng.uniform(0, 2 * np.pi, 16)]
             assert np.std(pows) < 1e-9 * abs(np.mean(pows))
             assert np.mean(pows) == pytest.approx(res.invariant_power, rel=1e-8)
+
+
+def test_p5_power_on_inner_circle_families(rng):
+    # Families inscribed in a circle reach near-cancellation in gamma1.
+    th = 2 * np.pi * np.arange(720) / 720
+    for _ in range(50):
+        fam = random_inner_circle_family(rng)
+        w = affine_image(fam, triangle_at(fam, th))
+        res = p5_point(fam)
+        err = np.max(np.abs(power(res.point, euler_circle(w))
+                            - res.invariant_power))
+        assert err <= 1e-10 * np.mean(circumcircle(w).radius ** 2)
 
 
 class TestPi3Affine:
