@@ -60,6 +60,7 @@ from .analysis import (
     external_similitude_center,
     homothety_check,
     nonconic_evidence,
+    projectivity_residual,
     similitude_check,
     sweep,
     verify_conic_type,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import AmbiguousBoundary, SingularMap
 from .family import PonceletFamily, Triangle, affine_image, triangle_at
 from .inversive import (
     Circle,
+    InversiveCoefficients,
     barycenter,
     circumcircle,
     euler_center,
@@ -32,7 +34,6 @@ from .inversive import (
     inversive_coeffs,
     inversive_triangle,
     invert_point,
-    circumcenter,
     orthocenter,
 )
 from .power import p3_point, power
@@ -43,17 +44,22 @@ _BOUNDARY_POWER_TOL = 1e-6
 
 @dataclass
 class SweepResult:
-    """Per-sample loci of a uniform theta sweep, as complex arrays.
+    """The run state of one uniform theta sweep, as arrays.
 
-    Center arrays hold NaN at skipped indices (inversion center on the
-    circumcircle there, inversive circumcenter at infinity).  `worlds`
-    holds every world-chart triangle as one Triangle of vertex arrays, so
-    checks need not solve again.
+    `circumcircles` are the world circumcircles of every sample (x3 is
+    their centres) and `worlds` every world-chart triangle, so checks need
+    not solve again.  The inverted triangles' circumcircles have centres
+    x3p and radii `image_radius`.  These and the other centre arrays hold
+    NaN at skipped indices (inversion center on the circumcircle there,
+    inversive circumcenter at infinity).  The closed-form coefficients and
+    the exact X3' conic are computed on first use, once: on a = b families
+    the conic does not exist (SingularMap), and a sweep does not need it.
     """
 
     thetas: np.ndarray
-    x3: np.ndarray
+    circumcircles: Circle
     x3p: np.ndarray
+    image_radius: np.ndarray
     inv_x3: np.ndarray
     x2p: np.ndarray
     x4p: np.ndarray
@@ -63,6 +69,18 @@ class SweepResult:
     family: PonceletFamily
     inversion: Circle
     worlds: Triangle
+
+    @property
+    def x3(self) -> np.ndarray:
+        return self.circumcircles.center
+
+    @cached_property
+    def coeffs(self) -> InversiveCoefficients:
+        return inversive_coeffs(self.family, self.inversion)
+
+    @cached_property
+    def exact_conic(self) -> Conic:
+        return exact_locus_conic(self.coeffs)
 
     def valid(self, name: str) -> np.ndarray:
         pts = getattr(self, name)
@@ -78,15 +96,27 @@ def sweep(fam: PonceletFamily, k: Circle, n: int = 720) -> SweepResult:
     pow_o = power(k.center, circ)
     kept = np.abs(pow_o) >= _SKIP_POWER_TOL * circ.radius ** 2
     tp = inversive_triangle(Triangle(*(v[kept] for v in worlds)), k)
+    image = circumcircle(tp)
     x3p, inv_x3, x2p, x4p, x5p = np.full((5, n), complex(np.nan, np.nan))
-    x3p[kept] = circumcenter(tp)
+    image_radius = np.full(n, np.nan)
+    x3p[kept], image_radius[kept] = image.center, image.radius
     x2p[kept] = barycenter(tp)
     x4p[kept] = orthocenter(tp)
     x5p[kept] = euler_center(tp)
     off_o = kept & (np.abs(circ.center - k.center) > 1e-12)
     inv_x3[off_o] = invert_point(circ.center[off_o], k)
-    return SweepResult(thetas, circ.center, x3p, inv_x3, x2p, x4p, x5p,
+    return SweepResult(thetas, circ, x3p, image_radius, inv_x3, x2p, x4p, x5p,
                        pow_o, np.flatnonzero(~kept).tolist(), fam, k, worlds)
+
+
+def projectivity_residual(sw: SweepResult) -> float:
+    """Relative defect of the X3' denominator b0 + 2 Re(b2 lam) as a b
+    times the power of O, the power computed directly from the swept
+    triangles: max |a b power - denominator| / (|b0| + 2 |b2|)."""
+    co, fam = sw.coeffs, sw.family
+    den = co.denominator(np.exp(1j * sw.thetas))
+    return float(np.max(np.abs(fam.a * fam.b * sw.power_at_O - den))
+                 / co.denominator_scale())
 
 
 class OLocationKind(enum.Enum):
@@ -138,7 +168,7 @@ def _sampled_location(sw: SweepResult) -> OLocation:
     AmbiguousBoundary.
     """
     pw = sw.power_at_O
-    r2 = np.abs(sw.worlds.v1 - sw.x3) ** 2
+    r2 = sw.circumcircles.radius ** 2
     prev, nxt = np.roll(pw, 1), np.roll(pw, -1)
     crossings = int(np.count_nonzero(pw * nxt < 0))
     eps = _BOUNDARY_POWER_TOL * r2
@@ -186,8 +216,7 @@ def verify_conic_type(sw: SweepResult) -> ConicTypeReport:
     -> hyperbola, Boundary -> parabola.  O is located from the sweep's
     sampled power, so the boundary resolution follows the sample count."""
     loc = _sampled_location(sw)
-    coeffs = inversive_coeffs(sw.family, sw.inversion)
-    ctype = conic_classify(exact_locus_conic(coeffs))
+    ctype = conic_classify(sw.exact_conic)
     return ConicTypeReport(loc, ctype, _expected_type(loc) == ctype)
 
 
@@ -208,7 +237,7 @@ def similitude_check(sw: SweepResult) -> SimilitudeReport:
     lines = tangents_from_point(l3, sw.inversion.center)
     if len(lines) < 2:
         return SimilitudeReport(status="no-real-tangents")
-    l3p = exact_locus_conic(inversive_coeffs(sw.family, sw.inversion))
+    l3p = sw.exact_conic
     cloud = sw.valid("inv_x3")
     scale = float(np.max(np.abs(cloud - cloud.mean()))) if len(cloud) else 1.0
     rep = SimilitudeReport(status="ok", tangents=lines, scale=scale)
@@ -231,20 +260,6 @@ class HomothetyReport:
     predicted_ratio: float = np.nan
 
 
-def _quadratic_eigs(c: Conic) -> np.ndarray:
-    m = np.array([[c.A, c.B / 2], [c.B / 2, c.C]])
-    ev = np.linalg.eigvalsh(m)
-    if ev.sum() < 0:
-        ev = -ev[::-1]
-    return ev
-
-
-def _axis_angle(c: Conic) -> float:
-    m = np.array([[c.A, c.B / 2], [c.B / 2, c.C]])
-    _, vec = np.linalg.eigh(m)
-    return float(np.arctan2(vec[1, 0], vec[0, 0])) % np.pi
-
-
 def homothety_check(sw: SweepResult) -> HomothetyReport:
     """With the inversion centered at P3, the X3' locus is a translated and
     scaled copy of the X3 locus; the scale is r^2 / |Pi3|.  The sweep's
@@ -254,17 +269,12 @@ def homothety_check(sw: SweepResult) -> HomothetyReport:
     spread = float(np.max(np.abs(x3 - x3.mean())))
     if spread < 1e-10 * max(1.0, abs(x3.mean())):
         return HomothetyReport(status="degenerate")
-    l3 = conic_fit(x3)
-    l3p = exact_locus_conic(inversive_coeffs(fam, k))
-
-    ev3, ev3p = _quadratic_eigs(l3), _quadratic_eigs(l3p)
-    eigenratio_defect = abs(ev3[0] / ev3[1] - ev3p[0] / ev3p[1])
-    a1, a2 = _axis_angle(l3), _axis_angle(l3p)
-    d = abs(a1 - a2) % np.pi
+    _, maj3, min3, angle3 = conic_params(conic_fit(x3))
+    _, maj3p, min3p, angle3p = conic_params(sw.exact_conic)
+    eigenratio_defect = abs((min3 / maj3) ** 2 - (min3p / maj3p) ** 2)
+    d = abs(angle3 - angle3p) % np.pi
     angle_defect = min(d, np.pi - d)
 
-    _, maj3, _, _ = conic_params(l3)
-    _, maj3p, _, _ = conic_params(l3p)
     scale_ratio = maj3 / maj3p
     predicted = abs(p3_point(fam).invariant_power) / k.radius ** 2
     return HomothetyReport(

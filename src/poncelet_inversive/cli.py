@@ -34,18 +34,26 @@ class RunConfig:
     inversion: inversive.Circle
     samples: int
     tolerances: dict
-    raw: dict
 
 
-def _cplx(value, name):
+def _cplx(spec, key):
     try:
-        re, im = value
+        re, im = spec[key]
         return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a two-element [re, im] array") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a two-element [re, im] array") from exc
 
 
-def load_config(path: str) -> RunConfig:
+def _number(spec, key, kind=float):
+    try:
+        return kind(spec[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number") from exc
+
+
+def load_config(path: str, samples: int | None = None) -> RunConfig:
+    """Parse and validate a config file; samples, when given, replaces the
+    file's sample count before it is checked."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -61,24 +69,25 @@ def load_config(path: str) -> RunConfig:
     if has_foci == has_circle:
         raise ConfigError("family needs exactly one of {f,g,a,b} or "
                           "{a,b,inner_circle_center,inner_circle_radius}")
-    try:
-        a, b = float(fam_spec["a"]), float(fam_spec["b"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("family requires numeric semiaxes a, b") from exc
+    a, b = _number(fam_spec, "a"), _number(fam_spec, "b")
     if has_foci:
         fam = family.PonceletFamily.from_axes(
-            _cplx(fam_spec["f"], "f"), _cplx(fam_spec["g"], "g"), a, b)
+            _cplx(fam_spec, "f"), _cplx(fam_spec, "g"), a, b)
     else:
         fam = family.family_from_inner_circle(
-            a, b, _cplx(fam_spec["inner_circle_center"], "inner_circle_center"),
-            float(fam_spec["inner_circle_radius"]))
+            a, b, _cplx(fam_spec, "inner_circle_center"),
+            _number(fam_spec, "inner_circle_radius"))
 
-    k = inversive.Circle(_cplx(inv_spec["center"], "inversion center"),
-                         float(inv_spec["radius"]))
-    samples = int(raw.get("samples", 720))
+    center, radius = _cplx(inv_spec, "center"), _number(inv_spec, "radius")
+    try:
+        k = inversive.Circle(center, radius)
+    except ValueError as exc:
+        raise ConfigError(f"inversion {exc}") from exc
+    if samples is None:
+        samples = _number(raw, "samples", int) if "samples" in raw else 720
     if samples < 64:
         raise ConfigError("samples must be >= 64")
-    return RunConfig(fam, k, samples, raw.get("tolerances", {}), raw)
+    return RunConfig(fam, k, samples, raw.get("tolerances", {}))
 
 
 def write_csv(sw: analysis.SweepResult, path: Path) -> None:
@@ -173,8 +182,7 @@ def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     sw = analysis.sweep(cfg.fam, cfg.inversion, cfg.samples)
-    coeffs = inversive.inversive_coeffs(cfg.fam, cfg.inversion)
-    exact = inversive.exact_locus_conic(coeffs)
+    exact = sw.exact_conic
     p3 = p3_point(cfg.fam)
     p5 = p5_point(cfg.fam)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,33 +220,31 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     tol = cfg.tolerances
     lines = []
     all_ok = True
-    coeffs = inversive.inversive_coeffs(fam, k)
     sw = analysis.sweep(fam, k, cfg.samples)
 
-    # Closed form vs direct composition, on about 64 of the swept samples.
+    # Closed form vs the swept X3', on about 64 of the kept samples.
     closed, at = [], []
     for i in range(0, len(sw.thetas), max(1, len(sw.thetas) // 64)):
+        if np.isnan(sw.x3p[i]):
+            continue
         try:
             closed.append(
-                inversive.inversive_circumcenter_closed(coeffs, sw.thetas[i]))
+                inversive.inversive_circumcenter_closed(sw.coeffs, sw.thetas[i]))
         except GeometryError:
             continue
         at.append(i)
-    direct = inversive.circumcenter(inversive.inversive_triangle(
-        family.Triangle(*(v[at] for v in sw.worlds)), k))
+    direct = sw.x3p[at]
     err = np.max(np.abs(np.array(closed) - direct)
                  / np.maximum(1.0, np.abs(direct)))
     all_ok &= _check(lines, "closed_form_vs_direct",
                      err < tol.get("closed_form", 1e-9), err)
 
-    # Projectivity hypotheses.
-    im_rel, conj_rel = inversive.hypothesis_residuals(fam, k)
-    all_ok &= _check(lines, "projectivity_hypotheses",
-                     im_rel < 1e-10 and conj_rel < 1e-10,
-                     max(im_rel, conj_rel))
+    # Projectivity: the closed-form denominator is a b times the power of O.
+    proj = analysis.projectivity_residual(sw)
+    all_ok &= _check(lines, "projectivity_hypotheses", proj < 1e-10, proj)
 
     # Exact vs fitted conic, sweep residuals.
-    exact = inversive.exact_locus_conic(coeffs)
+    exact = sw.exact_conic
     fitted = conics.conic_fit(sw.valid("x3p"))
     dist = min(exact.distance(fitted),
                float(np.linalg.norm(exact.coeffs + fitted.coeffs)))
@@ -261,15 +267,13 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     # Collinearity, ratio, pencil, on the unskipped samples (NaN compares
     # False) where O is neither X3 nor X3' (collinearity_and_ratio
     # rejects those).
-    circles = inversive.circumcircle(sw.worlds)
     at = ((np.abs(sw.x3 - k.center) >= 1e-10)
           & (np.abs(sw.x3p - k.center) >= 1e-10))
-    circ = inversive.Circle(circles.center[at], circles.radius[at])
+    circ = inversive.Circle(sw.x3[at], sw.circumcircles.radius[at])
     coll, ratio = inversive.collinearity_and_ratio(
         sw.x3[at], k.center, sw.x3p[at], circ, k)
-    pencil = inversive.pencil_membership(circ, k, inversive.circumcircle(
-        inversive.inversive_triangle(
-            family.Triangle(*(v[at] for v in sw.worlds)), k)))
+    pencil = inversive.pencil_membership(
+        circ, k, inversive.Circle(sw.x3p[at], sw.image_radius[at]))
     for name, res in (("collinearity", coll), ("distance_ratio", ratio),
                       ("pencil_membership", pencil)):
         res = np.max(res, initial=0.0)
@@ -277,7 +281,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
 
     # Constant power points.
     res3 = p3_point(fam)
-    pows = power_of_point(res3.point, circles)
+    pows = power_of_point(res3.point, sw.circumcircles)
     rel_std = pows.std() / abs(pows.mean())
     mean_err = abs(pows.mean() - res3.invariant_power) / abs(res3.invariant_power)
     all_ok &= _check(lines, "p3_constant_power",
@@ -380,11 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.samples is not None:
-            if args.samples < 64:
-                raise ConfigError("samples must be >= 64")
-            cfg.samples = args.samples
+        cfg = load_config(args.config, args.samples)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -198,26 +198,24 @@ def family_from_inner_circle(a: float, b: float, center: complex,
     return PonceletFamily.from_axes(f, g, a, b)
 
 
-def solve_inner_radius(a: float, b: float, center: complex,
-                       bracket=(1e-6, None)) -> float:
+def solve_inner_radius(a: float, b: float, center: complex) -> float:
     """Radius r_in for which (a, b, center, r_in) satisfies closure.
 
-    The closure defect is monotone near the root; plain bisection suffices.
+    With m = x_c/a + i y_c/b, closure |1 - conj(f) g| = 2 r/b squares to
+    beta^2 t^2 + B t + alpha^2 = 0 in t = r^2, where alpha = 1 - |m|^2,
+    beta = c^2/(a b)^2, gamma = 4 c^2 Re(m)^2/(a b)^2, delta = 4/b^2 and
+    B = 2 alpha beta + gamma - delta.  The smaller root is
+    t = 2 alpha^2 / (-B + sqrt(B^2 - 4 beta^2 alpha^2)), which also covers
+    a = b (beta = 0, r = b alpha / 2).
     """
-    def defect(r):
-        f, g = _preimage_foci(a, b, center, r)
-        return abs(1 - np.conj(f) * g) - 2 * r / b
-
-    lo = bracket[0]
-    hi = bracket[1] if bracket[1] is not None else b * (1 - 1e-9)
-    flo, fhi = defect(lo), defect(hi)
-    if flo * fhi > 0:
-        raise CayleyViolation("no closure radius in bracket")
-    for _ in range(200):
-        mid_r = 0.5 * (lo + hi)
-        fm = defect(mid_r)
-        if flo * fm <= 0:
-            hi, fhi = mid_r, fm
-        else:
-            lo, flo = mid_r, fm
-    return 0.5 * (lo + hi)
+    m = complex(center.real / a, center.imag / b)
+    c2, ab2 = a * a - b * b, (a * b) ** 2
+    alpha, beta = 1 - abs(m) ** 2, c2 / ab2
+    big_b = 2 * alpha * beta + 4 * c2 * m.real ** 2 / ab2 - 4 / b ** 2
+    disc = big_b ** 2 - 4 * (beta * alpha) ** 2
+    den = np.sqrt(max(disc, 0.0)) - big_b
+    if disc >= 0 and den > 0:
+        r = float(np.sqrt(2 * alpha ** 2 / den))
+        if 0 < r < b:
+            return r
+    raise CayleyViolation("no closure radius in (0, b)")

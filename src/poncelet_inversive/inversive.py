@@ -116,7 +116,7 @@ class InversiveCoefficients:
         return self.a2 * lam + self.a1 * np.conj(lam) + self.a0
 
     def denominator(self, lam: complex) -> float:
-        return float(np.real(self.b2 * lam + self.b1 * np.conj(lam) + self.b0))
+        return np.real(self.b2 * lam + self.b1 * np.conj(lam) + self.b0)
 
     def denominator_scale(self) -> float:
         return 2 * abs(self.b2) + abs(self.b0)
@@ -134,16 +134,6 @@ def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
                                  a2=ab * r2 * c2, b0=ab * m3,
                                  b1=ab * m1.conjugate(), b2=ab * m1, r2=r2,
                                  z0=k.center)
-
-
-def hypothesis_residuals(fam: PonceletFamily, k: Circle) -> tuple[float, float]:
-    """Relative residuals of the projectivity hypotheses:
-    (|Im b0| / |b0|, |b2 - conj(b1)| / |b1|).  Both are 0 by construction,
-    since inversive_coeffs builds b0 real and b1 as conj(b2)."""
-    co = inversive_coeffs(fam, k)
-    im_rel = abs(np.imag(co.b0)) / max(abs(co.b0), 1e-300)
-    conj_rel = abs(co.b2 - np.conj(co.b1)) / max(abs(co.b1), 1e-300)
-    return float(im_rel), float(conj_rel)
 
 
 def inversive_circumcenter_closed(coeffs: InversiveCoefficients,

@@ -1,4 +1,5 @@
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,8 +12,9 @@ from poncelet_inversive import (
     conic_fit,
     exact_locus_conic,
     inversive_coeffs,
+    p3_point,
 )
-from poncelet_inversive import analysis, family
+from poncelet_inversive import analysis, family, inversive
 from poncelet_inversive.cli import (
     ConfigError,
     cmd_classify,
@@ -104,6 +106,21 @@ class TestExitCodes:
 
     def test_samples_override_validated(self, cfg_path, capsys):
         assert main(["classify", "--config", cfg_path, "--samples", "8"]) == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda raw: raw["inversion"].pop("center"),
+        lambda raw: raw["inversion"].pop("radius"),
+        lambda raw: raw["inversion"].update({"radius": 0}),
+        lambda raw: raw["inversion"].update({"radius": "x"}),
+        lambda raw: raw.update({"samples": "many"}),
+        lambda raw: raw.update({"family": {
+            "a": 2.0, "b": 1.3, "inner_circle_center": [0.15, -0.1],
+            "inner_circle_radius": "x"}}),
+    ], ids=["no-center", "no-radius", "zero-radius", "text-radius",
+            "text-samples", "text-inner-radius"])
+    def test_malformed_field_is_2(self, tmp_path, capsys, mutate):
+        assert main(["classify", "--config", write_cfg(tmp_path, mutate)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -223,6 +240,26 @@ def _count_solves(monkeypatch):
     return thetas
 
 
+def _count_calls(monkeypatch, *names):
+    """Record the calls of inversive's named functions through every
+    package module that binds them."""
+    calls = {name: 0 for name in names}
+    modules = [m for key, m in sys.modules.items()
+               if key.split(".")[0] == "poncelet_inversive"]
+    for name in names:
+        original = getattr(inversive, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
 class TestSolveCounts:
     def test_verify_solves_each_sample_once(self, cfg_path, monkeypatch):
         thetas = _count_solves(monkeypatch)
@@ -230,6 +267,19 @@ class TestSolveCounts:
         _, ok = run_verify(cfg)
         assert ok
         assert len(thetas) == cfg.samples
+
+    @pytest.mark.parametrize("at_p3", [False, True])
+    def test_verify_builds_the_run_state_once(self, cfg_path, monkeypatch,
+                                              at_p3):
+        calls = _count_calls(monkeypatch, "inversive_coeffs",
+                             "exact_locus_conic", "inversive_triangle")
+        cfg = load_config(cfg_path)
+        if at_p3:  # homothety reads the exact conic too
+            cfg.inversion = Circle(p3_point(cfg.fam).point, 1.0)
+        _, ok = run_verify(cfg)
+        assert ok
+        assert calls == {"inversive_coeffs": 1, "exact_locus_conic": 1,
+                         "inversive_triangle": 1}
 
     def test_classify_solves_nothing(self, cfg_path, monkeypatch, capsys):
         thetas = _count_solves(monkeypatch)

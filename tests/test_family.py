@@ -171,6 +171,31 @@ class TestInnerCircleFamilies:
                 dist = abs(np.imag((center - s1) / d))
                 assert abs(dist - r) < 1e-7 * r
 
+    def test_solved_radius_closes_on_drawn_circles(self, rng):
+        # The box of tests/conftest.py::random_inner_circle_family.
+        for _ in range(200):
+            a = rng.uniform(1.2, 3.0)
+            b = rng.uniform(0.5 * a, 0.95 * a)
+            center = complex(rng.uniform(-0.3, 0.3) * a,
+                             rng.uniform(-0.3, 0.3) * b)
+            r = solve_inner_radius(a, b, center)
+            fam = family_from_inner_circle(a, b, center, r)
+            closure = abs(1 - np.conj(fam.f) * fam.g)
+            assert abs(closure - 2 * r / b) < 1e-14 * (2 * r / b)
+
+    def test_solved_radius_when_a_equals_b(self, rng):
+        for _ in range(20):
+            b = rng.uniform(0.5, 2.0)
+            center = complex(*rng.uniform(-0.4, 0.4, 2)) * b
+            expected = b * (1 - abs(center / b) ** 2) / 2
+            assert solve_inner_radius(b, b, center) == pytest.approx(
+                expected, rel=1e-15)
+
+    def test_no_radius_raises(self):
+        # The centre's preimage is outside the unit disk.
+        with pytest.raises(CayleyViolation):
+            solve_inner_radius(2.0, 1.0, 2.5 + 0j)
+
     def test_world_inner_ellipse_matches_circle(self):
         a, b = 2.0, 1.3
         center = 0.15 - 0.1j

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from poncelet_inversive import (
     orthocenter,
     pencil_membership,
     projective_map_of_locus,
+    projectivity_residual,
+    sweep,
     triangle_at,
 )
 from poncelet_inversive.conics import conic_residual
@@ -31,7 +35,6 @@ from poncelet_inversive.errors import (
 from poncelet_inversive.inversive import (
     InversiveCoefficients,
     collinearity_and_ratio,
-    hypothesis_residuals,
 )
 
 from conftest import REF_K, random_circle, random_family
@@ -207,11 +210,19 @@ class TestClosedForm:
         with pytest.raises(OnCircumcircle):
             inversive_circumcenter_closed(co, 0.5 * (lo + hi))
 
-    def test_hypothesis_residuals_machine_zero(self, rng):
-        for _ in range(25):
-            im_rel, conj_rel = hypothesis_residuals(random_family(rng),
-                                                    random_circle(rng))
-            assert im_rel < 1e-15 and conj_rel < 1e-15
+    def test_projectivity_residual_catches_corrupted_coefficients(self, rng):
+        # The swept power of O is the oracle: a 1e-9 relative slip in b0 or
+        # b2 is caught, where the exact coefficients sit near 1e-15.
+        for _ in range(10):
+            sw = sweep(random_family(rng), random_circle(rng), 256)
+            assert projectivity_residual(sw) < 1e-13
+            co = sw.coeffs
+            slip = 1e-9 * co.denominator_scale()
+            for bad in (dataclasses.replace(co, b0=co.b0 + slip),
+                        dataclasses.replace(co, b2=co.b2 + slip,
+                                            b1=np.conj(co.b2 + slip))):
+                sw.coeffs = bad
+                assert projectivity_residual(sw) > 1e-10
 
 
 class TestProjectiveLocus:
