@@ -29,12 +29,10 @@ from .inversive import (
     InversiveCoefficients,
     barycenter,
     circumcircle,
-    euler_center,
     exact_locus_conic,
     inversive_coeffs,
     inversive_triangle,
     invert_point,
-    orthocenter,
 )
 from .power import p3_point, power
 
@@ -101,8 +99,10 @@ def sweep(fam: PonceletFamily, k: Circle, n: int = 720) -> SweepResult:
     image_radius = np.full(n, np.nan)
     x3p[kept], image_radius[kept] = image.center, image.radius
     x2p[kept] = barycenter(tp)
-    x4p[kept] = orthocenter(tp)
-    x5p[kept] = euler_center(tp)
+    # H = v1 + v2 + v3 - 2 X3 and N = (X3 + H) / 2, as in orthocenter and
+    # euler_center, from the image circumcentres already at hand.
+    x4p[kept] = tp.v1 + tp.v2 + tp.v3 - 2 * image.center
+    x5p[kept] = (image.center + x4p[kept]) / 2
     off_o = kept & (np.abs(circ.center - k.center) > 1e-12)
     inv_x3[off_o] = invert_point(circ.center[off_o], k)
     return SweepResult(thetas, circ, x3p, image_radius, inv_x3, x2p, x4p, x5p,
@@ -146,10 +146,17 @@ def classify_O(fam: PonceletFamily, k: Circle) -> OLocation:
     """
     coeffs = inversive_coeffs(fam, k)
     try:
-        parabola = conic_classify(exact_locus_conic(coeffs)) is ConicType.PARABOLA
+        locus = conic_classify(exact_locus_conic(coeffs))
     except SingularMap:  # the X3' locus collapses to a point (e.g. a = b)
-        parabola = False
-    if parabola:
+        locus = None
+    return locate_O(coeffs, locus)
+
+
+def locate_O(coeffs: InversiveCoefficients,
+             locus: ConicType | None) -> OLocation:
+    """classify_O from the X3' coefficients and the type of their exact
+    locus conic (None when it does not exist), for callers that hold both."""
+    if locus is ConicType.PARABOLA:
         return OLocation(OLocationKind.BOUNDARY, 3)
     if abs(coeffs.b0) < 2 * abs(coeffs.b2):
         return OLocation(OLocationKind.INTERIOR, 6)

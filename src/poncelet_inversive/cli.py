@@ -22,6 +22,8 @@ from .errors import FamilyError, GeometryError
 
 CSV_HEADER = ("theta,x3_re,x3_im,x3p_re,x3p_im,invx3_re,invx3_im,"
               "x2p_re,x2p_im,x4p_re,x4p_im,x5p_re,x5p_im,power_O,skipped")
+_CSV_ROW = ",".join(["%.17g"] * 14) + ",%d\n"
+_CSV_BLOCK = 1024
 
 
 class ConfigError(Exception):
@@ -92,25 +94,34 @@ def load_config(path: str, samples: int | None = None) -> RunConfig:
 
 def write_csv(sw: analysis.SweepResult, path: Path) -> None:
     """One row per sample; '%.17g' % x equals format(x, '.17g'), and the
-    NaN cells of skipped samples are written empty."""
+    NaN cells of skipped samples are written empty.  Rows are formatted
+    and written _CSV_BLOCK at a time, so memory does not grow with the
+    sample count."""
     cols = [sw.thetas]
     for name in ("x3", "x3p", "inv_x3", "x2p", "x4p", "x5p"):
         cols += [getattr(sw, name).real, getattr(sw, name).imag]
     flags = np.zeros(len(sw.thetas))
     flags[sw.skipped] = 1
-    rows = np.column_stack(cols + [sw.power_at_O, flags]).tolist()
-    fmt = ",".join(["%.17g"] * (len(cols) + 1)) + ",%d"
-    body = "\n".join(fmt % tuple(row) for row in rows).replace("nan", "")
-    path.write_text(CSV_HEADER + "\n" + body + "\n")
+    cols += [sw.power_at_O, flags]
+    with open(path, "w") as out:
+        out.write(CSV_HEADER + "\n")
+        for start in range(0, len(flags), _CSV_BLOCK):
+            block = np.column_stack([c[start:start + _CSV_BLOCK] for c in cols])
+            cells = block.ravel().tolist()
+            out.write((_CSV_ROW * len(block) % tuple(cells)).replace("nan", ""))
 
 
 def _svg_path(points) -> str:
-    """Polyline through the points; a NaN point lifts the pen."""
+    """Polyline through the points; a NaN point lifts the pen.  Each run of
+    drawn points is one 'M x y L x y ...' format, filled in one pass."""
     pts = np.asarray(points, dtype=complex)
     drawn = ~np.isnan(pts)
-    pens = np.where(np.r_[False, drawn][:-1], "L", "M")[drawn].tolist()
+    edges = np.diff(np.r_[0, drawn, 0])
+    runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    fmt = " ".join("M%.6g %.6g" + " L%.6g %.6g" * (k - 1)
+                   for k in runs.tolist())
     xy = np.column_stack([pts[drawn].real, pts[drawn].imag]).ravel()
-    return " ".join(pen + "%.6g %.6g" for pen in pens) % tuple(xy.tolist())
+    return fmt % tuple(xy.tolist())
 
 
 def _conic_polyline(c: conics.Conic, bbox, n=512) -> np.ndarray:
@@ -145,39 +156,36 @@ def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
     tilt = np.degrees(np.angle(inner.focus2 - inner.focus1)) \
         if inner.focus2 != inner.focus1 else 0.0
 
-    def poly(name, color):
-        pts = getattr(sw, name)
-        d = _svg_path(np.append(pts, pts[0]))
-        return (f'<path d="{d}" fill="none" stroke="{color}" '
-                f'stroke-width="{stroke}"/>')
+    def parts():
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
+               f'viewBox="{-half_w:.6g} {-half_h:.6g} {2*half_w:.6g} '
+               f'{2*half_h:.6g}">')
+        yield f'<g transform="scale(1,-1)">'
+        yield (f'<ellipse cx="0" cy="0" rx="{fam.a}" ry="{fam.b}" fill="none" '
+               f'stroke="black" stroke-width="{stroke}"/>')
+        yield (f'<ellipse cx="{ic.real:.6g}" cy="{ic.imag:.6g}" '
+               f'rx="{semi_major:.6g}" ry="{semi_minor:.6g}" '
+               f'transform="rotate({tilt:.6g} {ic.real:.6g} {ic.imag:.6g})" '
+               f'fill="none" stroke="gray" stroke-width="{stroke}"/>')
+        yield (f'<circle cx="{k.center.real:.6g}" cy="{k.center.imag:.6g}" '
+               f'r="{k.radius:.6g}" fill="none" stroke="red" stroke-dasharray='
+               f'"{4*stroke} {4*stroke}" stroke-width="{stroke}"/>')
+        for name, color in (("x3", "#1f77b4"), ("x3p", "#2ca02c"),
+                            ("inv_x3", "#bcbd22"), ("x2p", "#17becf"),
+                            ("x4p", "#ff7f0e"), ("x5p", "#e377c2")):
+            pts = getattr(sw, name)
+            yield (f'<path d="{_svg_path(np.append(pts, pts[0]))}" '
+                   f'fill="none" stroke="{color}" stroke-width="{stroke}"/>')
+        yield (f'<path d="{_svg_path(_conic_polyline(exact, bbox))}" '
+               f'fill="none" stroke="#2ca02c" stroke-width="{stroke/2}" '
+               f'opacity="0.6"/>')
+        for pt, color in ((p3, "#1f77b4"), (p5, "#ff7f0e")):
+            yield (f'<circle cx="{pt.real:.6g}" cy="{pt.imag:.6g}" '
+                   f'r="{3*stroke:.6g}" fill="{color}"/>')
+        yield "</g></svg>"
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{-half_w:.6g} {-half_h:.6g} {2*half_w:.6g} {2*half_h:.6g}">',
-        f'<g transform="scale(1,-1)">',
-        f'<ellipse cx="0" cy="0" rx="{fam.a}" ry="{fam.b}" fill="none" '
-        f'stroke="black" stroke-width="{stroke}"/>',
-        f'<ellipse cx="{ic.real:.6g}" cy="{ic.imag:.6g}" rx="{semi_major:.6g}" '
-        f'ry="{semi_minor:.6g}" transform="rotate({tilt:.6g} {ic.real:.6g} '
-        f'{ic.imag:.6g})" fill="none" stroke="gray" stroke-width="{stroke}"/>',
-        f'<circle cx="{k.center.real:.6g}" cy="{k.center.imag:.6g}" '
-        f'r="{k.radius:.6g}" fill="none" stroke="red" stroke-dasharray='
-        f'"{4*stroke} {4*stroke}" stroke-width="{stroke}"/>',
-        poly("x3", "#1f77b4"),
-        poly("x3p", "#2ca02c"),
-        poly("inv_x3", "#bcbd22"),
-        poly("x2p", "#17becf"),
-        poly("x4p", "#ff7f0e"),
-        poly("x5p", "#e377c2"),
-    ]
-    exact_pts = _conic_polyline(exact, bbox)
-    parts.append(f'<path d="{_svg_path(exact_pts)}" fill="none" '
-                 f'stroke="#2ca02c" stroke-width="{stroke/2}" opacity="0.6"/>')
-    for pt, color in ((p3, "#1f77b4"), (p5, "#ff7f0e")):
-        parts.append(f'<circle cx="{pt.real:.6g}" cy="{pt.imag:.6g}" '
-                     f'r="{3*stroke:.6g}" fill="{color}"/>')
-    parts.append("</g></svg>")
-    path.write_text("\n".join(parts) + "\n")
+    with open(path, "w") as out:
+        out.writelines(part + "\n" for part in parts())
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
@@ -287,8 +295,12 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     all_ok &= _check(lines, "p3_constant_power",
                      rel_std < 1e-9 and mean_err < 1e-9, max(rel_std, mean_err))
 
+    # Euler circles: centre (X3 + H) / 2, H = v1 + v2 + v3 - 2 X3, radius R/2.
     res5 = p5_point(fam)
-    pows5 = power_of_point(res5.point, inversive.euler_circle(sw.worlds))
+    w, x3 = sw.worlds, sw.circumcircles.center
+    euler = inversive.Circle((x3 + (w.v1 + w.v2 + w.v3 - 2 * x3)) / 2,
+                             sw.circumcircles.radius / 2)
+    pows5 = power_of_point(res5.point, euler)
     rel_std5 = pows5.std() / abs(pows5.mean())
     mean_err5 = abs(pows5.mean() - res5.invariant_power) / abs(res5.invariant_power)
     all_ok &= _check(lines, "p5_constant_power",
@@ -356,10 +368,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path | None) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    loc = analysis.classify_O(cfg.fam, cfg.inversion)
-    conic = inversive.exact_locus_conic(
-        inversive.inversive_coeffs(cfg.fam, cfg.inversion))
-    ctype = conics.conic_classify(conic)
+    coeffs = inversive.inversive_coeffs(cfg.fam, cfg.inversion)
+    ctype = conics.conic_classify(inversive.exact_locus_conic(coeffs))
+    loc = analysis.locate_O(coeffs, ctype)
     print(f"O={loc.kind.value} locus={ctype.value} "
           f"crossings={loc.crossing_count}")
     return 0

@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,7 +16,7 @@ from poncelet_inversive import (
     inversive_coeffs,
     p3_point,
 )
-from poncelet_inversive import analysis, family, inversive
+from poncelet_inversive import analysis, cli, family, inversive
 from poncelet_inversive.cli import (
     ConfigError,
     cmd_classify,
@@ -272,19 +274,29 @@ class TestSolveCounts:
     def test_verify_builds_the_run_state_once(self, cfg_path, monkeypatch,
                                               at_p3):
         calls = _count_calls(monkeypatch, "inversive_coeffs",
-                             "exact_locus_conic", "inversive_triangle")
+                             "exact_locus_conic", "inversive_triangle",
+                             "circumcenter")
         cfg = load_config(cfg_path)
         if at_p3:  # homothety reads the exact conic too
             cfg.inversion = Circle(p3_point(cfg.fam).point, 1.0)
         _, ok = run_verify(cfg)
         assert ok
+        # One circumcentre pass over the world and one over the image
+        # triangles; X4', X5' and the Euler circles reuse them.
         assert calls == {"inversive_coeffs": 1, "exact_locus_conic": 1,
-                         "inversive_triangle": 1}
+                         "inversive_triangle": 1, "circumcenter": 2}
 
     def test_classify_solves_nothing(self, cfg_path, monkeypatch, capsys):
         thetas = _count_solves(monkeypatch)
         assert cmd_classify(load_config(cfg_path)) == 0
         assert thetas == []
+
+    def test_classify_builds_the_conic_once(self, cfg_path, monkeypatch,
+                                            capsys):
+        calls = _count_calls(monkeypatch, "inversive_coeffs",
+                             "exact_locus_conic")
+        assert cmd_classify(load_config(cfg_path)) == 0
+        assert calls == {"inversive_coeffs": 1, "exact_locus_conic": 1}
 
 
 def _boundary_center():
@@ -332,3 +344,69 @@ def test_classify_obeys_law_near_boundary(tmp_path, capsys):
             assert LAW.get((kind, crossings)) == fields["locus"], seen[-1]
     assert {kind for _, _, kind, _ in seen} \
         == {"Interior", "Exterior", "Boundary"}
+
+
+def _reference_csv(sw) -> str:
+    """The CSV formatted one cell at a time: '%.17g', NaN written empty."""
+    lines = [cli.CSV_HEADER]
+    for i in range(len(sw.thetas)):
+        cells = [sw.thetas[i]]
+        for name in ("x3", "x3p", "inv_x3", "x2p", "x4p", "x5p"):
+            z = getattr(sw, name)[i]
+            cells += [z.real, z.imag]
+        cells.append(sw.power_at_O[i])
+        row = ["" if math.isnan(x) else "%.17g" % x for x in cells]
+        lines.append(",".join(row + [str(int(i in sw.skipped))]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_path(points) -> str:
+    """One pen command per point: M after a NaN (or first), L otherwise."""
+    out, down = [], False
+    for z in points:
+        if math.isnan(z.real):
+            down = False
+            continue
+        out.append(("L" if down else "M") + "%.6g %.6g" % (z.real, z.imag))
+        down = True
+    return " ".join(out)
+
+
+class TestWriters:
+    @pytest.fixture
+    def fam(self):
+        return PonceletFamily.from_axes(REF_F, REF_G, REF_A, REF_B)
+
+    def test_csv_matches_cell_by_cell_reference(self, fam, tmp_path):
+        block = cli._CSV_BLOCK
+        sw = analysis.sweep(fam, EXTERIOR_K, block + 3)
+        # Skipped samples on both sides of the first block boundary, and
+        # at both ends.
+        sw.skipped = [0, block - 2, block - 1, block, block + 2]
+        for name in ("x3p", "inv_x3", "x2p", "x4p", "x5p"):
+            getattr(sw, name)[sw.skipped] = complex(np.nan, np.nan)
+        path = tmp_path / "sweep.csv"
+        cli.write_csv(sw, path)
+        text = path.read_text()
+        assert text == _reference_csv(sw)
+        assert text.count(",1\n") == 5 and "nan" not in text
+
+    @pytest.mark.parametrize("pattern", [
+        "..xxx..", "x.x.x", ".x", "x.", "xx..x.xx", "....", "", "x"],
+        ids=["lead-trail", "isolated", "one-lead", "one-trail", "mixed",
+             "all-nan", "empty", "single"])
+    def test_svg_path_matches_per_point_reference(self, pattern):
+        pts = np.array([complex(0.1 * i - 1, 1 / (i + 3)) if c == "x"
+                        else complex(np.nan, np.nan)
+                        for i, c in enumerate(pattern)], dtype=complex)
+        assert cli._svg_path(pts) == _reference_svg_path(pts)
+
+    def test_csv_memory_does_not_grow_with_samples(self, fam, tmp_path):
+        sw = analysis.sweep(fam, EXTERIOR_K, 16384)
+        tracemalloc.start()
+        try:
+            cli.write_csv(sw, tmp_path / "sweep.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
