@@ -9,7 +9,6 @@ from .conics import (
     conic_fit,
     conic_residual,
     conic_transform,
-    is_tangent,
     tangents_from_point,
 )
 from .family import (
@@ -29,7 +28,6 @@ from .inversive import (
     circumcenter,
     circumcircle,
     collinearity_and_ratio,
-    euler_center,
     euler_circle,
     exact_locus_conic,
     inversive_circumcenter_closed,
@@ -41,7 +39,6 @@ from .inversive import (
     projective_map_of_locus,
 )
 from .power import (
-    PowerKind,
     PowerPointResult,
     circumcenter_affine_in_lambda,
     p3_point,

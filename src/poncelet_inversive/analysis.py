@@ -29,10 +29,12 @@ from .inversive import (
     InversiveCoefficients,
     barycenter,
     circumcircle,
+    euler_circle,
     exact_locus_conic,
     inversive_coeffs,
     inversive_triangle,
     invert_point,
+    orthocenter,
 )
 from .power import p3_point, power
 
@@ -99,10 +101,8 @@ def sweep(fam: PonceletFamily, k: Circle, n: int = 720) -> SweepResult:
     image_radius = np.full(n, np.nan)
     x3p[kept], image_radius[kept] = image.center, image.radius
     x2p[kept] = barycenter(tp)
-    # H = v1 + v2 + v3 - 2 X3 and N = (X3 + H) / 2, as in orthocenter and
-    # euler_center, from the image circumcentres already at hand.
-    x4p[kept] = tp.v1 + tp.v2 + tp.v3 - 2 * image.center
-    x5p[kept] = (image.center + x4p[kept]) / 2
+    x4p[kept] = orthocenter(tp, image)
+    x5p[kept] = euler_circle(tp, image).center
     off_o = kept & (np.abs(circ.center - k.center) > 1e-12)
     inv_x3[off_o] = invert_point(circ.center[off_o], k)
     return SweepResult(thetas, circ, x3p, image_radius, inv_x3, x2p, x4p, x5p,

@@ -24,6 +24,7 @@ CSV_HEADER = ("theta,x3_re,x3_im,x3p_re,x3p_im,invx3_re,invx3_im,"
               "x2p_re,x2p_im,x4p_re,x4p_im,x5p_re,x5p_im,power_O,skipped")
 _CSV_ROW = ",".join(["%.17g"] * 14) + ",%d\n"
 _CSV_BLOCK = 1024
+_LOCUS_SAMPLES = 512
 
 
 class ConfigError(Exception):
@@ -35,7 +36,6 @@ class RunConfig:
     fam: family.PonceletFamily
     inversion: inversive.Circle
     samples: int
-    tolerances: dict
 
 
 def _cplx(spec, key):
@@ -60,11 +60,11 @@ def load_config(path: str, samples: int | None = None) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        fam_spec = raw["family"]
-        inv_spec = raw["inversion"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config section {exc}") from exc
+    sections = {"family", "inversion"}
+    if not sections <= set(raw) <= sections | {"samples"}:
+        raise ConfigError("config takes family, inversion and optionally "
+                          f"samples, got {sorted(raw)}")
+    fam_spec, inv_spec = raw["family"], raw["inversion"]
 
     has_foci = "f" in fam_spec and "g" in fam_spec
     has_circle = "inner_circle_center" in fam_spec and "inner_circle_radius" in fam_spec
@@ -89,7 +89,7 @@ def load_config(path: str, samples: int | None = None) -> RunConfig:
         samples = _number(raw, "samples", int) if "samples" in raw else 720
     if samples < 64:
         raise ConfigError("samples must be >= 64")
-    return RunConfig(fam, k, samples, raw.get("tolerances", {}))
+    return RunConfig(fam, k, samples)
 
 
 def write_csv(sw: analysis.SweepResult, path: Path) -> None:
@@ -124,28 +124,26 @@ def _svg_path(points) -> str:
     return fmt % tuple(xy.tolist())
 
 
-def _conic_polyline(c: conics.Conic, bbox, n=512) -> np.ndarray:
-    """Sample the conic inside a bounding box by scanning both axes."""
-    xmin, xmax, ymin, ymax = bbox
-    A, B, C, D, E, F = c.coeffs
-    x = np.linspace(xmin, xmax, n)
-    aa, bb, cc = C, B * x + E, A * x * x + D * x + F
-    if abs(aa) < 1e-14:
-        return np.empty(0, dtype=complex)
-    disc = bb * bb - 4 * aa * cc
-    root = np.sqrt(np.where(disc >= 0, disc, 0.0))
-    y = np.column_stack([-bb + root, -bb - root]) / (2 * aa)
-    inside = (disc >= 0)[:, None] & (ymin <= y) & (y <= ymax)
-    return (x[:, None] + 1j * y)[inside]
+def _locus_polyline(co: inversive.InversiveCoefficients, half_w: float,
+                    half_h: float) -> np.ndarray:
+    """X3' = z0 + N(lam)/D(lam) at _LOCUS_SAMPLES + 1 points closing the
+    unit circle.  NaN (pen up) outside the box |x| <= half_w, |y| <= half_h
+    and between samples where D changes sign: the locus runs through
+    infinity there."""
+    lam = np.exp(2j * np.pi * np.arange(_LOCUS_SAMPLES + 1) / _LOCUS_SAMPLES)
+    den = co.denominator(lam)
+    with np.errstate(divide="ignore", invalid="ignore"):  # D = 0: at infinity
+        pts = co.z0 + co.numerator(lam) / den
+    pts[(np.abs(pts.real) > half_w) | (np.abs(pts.imag) > half_h)] = np.nan
+    return np.insert(pts, np.flatnonzero(den[:-1] * den[1:] < 0) + 1, np.nan)
 
 
-def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
-              p3: complex, p5: complex, path: Path) -> None:
+def write_svg(sw: analysis.SweepResult, p3: complex, p5: complex,
+              path: Path) -> None:
     fam, k = sw.family, sw.inversion
     half_w, half_h = 1.6 * fam.a, 1.6 * fam.b
     half_w = max(half_w, abs(k.center.real) + k.radius + 0.5)
     half_h = max(half_h, abs(k.center.imag) + k.radius + 0.5)
-    bbox = (-half_w, half_w, -half_h, half_h)
     stroke = min(half_w, half_h) / 250
 
     inner = family.inner_ellipse_world(fam)
@@ -153,8 +151,7 @@ def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
     semi_major = inner.major_axis_length / 2
     semi_minor = np.sqrt(max(semi_major ** 2
                              - (abs(inner.focus2 - inner.focus1) / 2) ** 2, 0))
-    tilt = np.degrees(np.angle(inner.focus2 - inner.focus1)) \
-        if inner.focus2 != inner.focus1 else 0.0
+    tilt = np.degrees(np.angle(inner.focus2 - inner.focus1))
 
     def parts():
         yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -176,7 +173,8 @@ def write_svg(sw: analysis.SweepResult, exact: conics.Conic,
             pts = getattr(sw, name)
             yield (f'<path d="{_svg_path(np.append(pts, pts[0]))}" '
                    f'fill="none" stroke="{color}" stroke-width="{stroke}"/>')
-        yield (f'<path d="{_svg_path(_conic_polyline(exact, bbox))}" '
+        overlay = _locus_polyline(sw.coeffs, half_w, half_h)
+        yield (f'<path d="{_svg_path(overlay)}" '
                f'fill="none" stroke="#2ca02c" stroke-width="{stroke/2}" '
                f'opacity="0.6"/>')
         for pt, color in ((p3, "#1f77b4"), (p5, "#ff7f0e")):
@@ -206,7 +204,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     }
     (out_dir / "sweep_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     if svg:
-        write_svg(sw, exact, p3.point, p5.point, out_dir / "sweep.svg")
+        write_svg(sw, p3.point, p5.point, out_dir / "sweep.svg")
     return 0
 
 
@@ -223,29 +221,29 @@ def _skip(lines, name, note=""):
     lines.append(f"{name}: SKIP {note}".rstrip())
 
 
+def _power_defect(res, circles: inversive.Circle) -> float:
+    """max(std, |mean - Pi|) of the power of res.point with respect to the
+    circles, over their mean squared radius."""
+    pows = power_of_point(res.point, circles)
+    return float(max(pows.std(), abs(pows.mean() - res.invariant_power))
+                 / np.mean(circles.radius ** 2))
+
+
 def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     fam, k = cfg.fam, cfg.inversion
-    tol = cfg.tolerances
     lines = []
     all_ok = True
     sw = analysis.sweep(fam, k, cfg.samples)
 
-    # Closed form vs the swept X3', on about 64 of the kept samples.
-    closed, at = [], []
-    for i in range(0, len(sw.thetas), max(1, len(sw.thetas) // 64)):
-        if np.isnan(sw.x3p[i]):
-            continue
-        try:
-            closed.append(
-                inversive.inversive_circumcenter_closed(sw.coeffs, sw.thetas[i]))
-        except GeometryError:
-            continue
-        at.append(i)
+    # Closed form vs the swept X3', on about 64 of the kept samples where
+    # the closed form is finite.
+    at = np.arange(0, len(sw.thetas), max(1, len(sw.thetas) // 64))
+    at = at[~np.isnan(sw.x3p[at])
+            & ~sw.coeffs.on_circumcircle(np.exp(1j * sw.thetas[at]))]
     direct = sw.x3p[at]
-    err = np.max(np.abs(np.array(closed) - direct)
-                 / np.maximum(1.0, np.abs(direct)))
-    all_ok &= _check(lines, "closed_form_vs_direct",
-                     err < tol.get("closed_form", 1e-9), err)
+    closed = inversive.inversive_circumcenter_closed(sw.coeffs, sw.thetas[at])
+    err = np.max(np.abs(closed - direct) / np.maximum(1.0, np.abs(direct)))
+    all_ok &= _check(lines, "closed_form_vs_direct", err < 1e-9, err)
 
     # Projectivity: the closed-form denominator is a b times the power of O.
     proj = analysis.projectivity_residual(sw)
@@ -256,11 +254,9 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     fitted = conics.conic_fit(sw.valid("x3p"))
     dist = min(exact.distance(fitted),
                float(np.linalg.norm(exact.coeffs + fitted.coeffs)))
-    all_ok &= _check(lines, "exact_vs_fitted_conic",
-                     dist < tol.get("conic_match", 1e-8), dist)
+    all_ok &= _check(lines, "exact_vs_fitted_conic", dist < 1e-8, dist)
     resid = np.max(conics.conic_residual(exact, sw.valid("x3p")))
-    all_ok &= _check(lines, "sweep_on_exact_conic",
-                     resid < tol.get("locus_residual", 1e-9), resid)
+    all_ok &= _check(lines, "sweep_on_exact_conic", resid < 1e-9, resid)
 
     # Conic type vs O location.
     try:
@@ -287,25 +283,13 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
         res = np.max(res, initial=0.0)
         all_ok &= _check(lines, name, res < 1e-9, res)
 
-    # Constant power points.
+    # Constant power points, against the circumcircles and Euler circles.
     res3 = p3_point(fam)
-    pows = power_of_point(res3.point, sw.circumcircles)
-    rel_std = pows.std() / abs(pows.mean())
-    mean_err = abs(pows.mean() - res3.invariant_power) / abs(res3.invariant_power)
-    all_ok &= _check(lines, "p3_constant_power",
-                     rel_std < 1e-9 and mean_err < 1e-9, max(rel_std, mean_err))
-
-    # Euler circles: centre (X3 + H) / 2, H = v1 + v2 + v3 - 2 X3, radius R/2.
-    res5 = p5_point(fam)
-    w, x3 = sw.worlds, sw.circumcircles.center
-    euler = inversive.Circle((x3 + (w.v1 + w.v2 + w.v3 - 2 * x3)) / 2,
-                             sw.circumcircles.radius / 2)
-    pows5 = power_of_point(res5.point, euler)
-    rel_std5 = pows5.std() / abs(pows5.mean())
-    mean_err5 = abs(pows5.mean() - res5.invariant_power) / abs(res5.invariant_power)
-    all_ok &= _check(lines, "p5_constant_power",
-                     rel_std5 < 1e-8 and mean_err5 < 1e-8,
-                     max(rel_std5, mean_err5))
+    p3_defect = _power_defect(res3, sw.circumcircles)
+    all_ok &= _check(lines, "p3_constant_power", p3_defect < 1e-9, p3_defect)
+    p5_defect = _power_defect(
+        p5_point(fam), inversive.euler_circle(sw.worlds, sw.circumcircles))
+    all_ok &= _check(lines, "p5_constant_power", p5_defect < 1e-8, p5_defect)
 
     # P3 interiority.
     inner = family.inner_ellipse(fam)
@@ -385,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("sweep", "verify", "classify"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--out", default="out")
+        if name != "classify":
+            sp.add_argument("--samples", type=int, default=None)
+            sp.add_argument("--out", default="out")
         if name == "sweep":
             sp.add_argument("--svg", action="store_true")
     return parser
@@ -395,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.samples)
+        cfg = load_config(args.config, getattr(args, "samples", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -77,11 +77,6 @@ class Conic:
     def unit_circle() -> "Conic":
         return Conic(np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0]))
 
-    def evaluate(self, p: complex) -> float:
-        A, B, C, D, E, F = self.coeffs
-        x, y = p.real, p.imag
-        return A * x * x + B * x * y + C * y * y + D * x + E * y + F
-
     def distance(self, other: "Conic") -> float:
         """Euclidean distance between canonical coefficient vectors."""
         return float(np.linalg.norm(self.coeffs - other.coeffs))
@@ -247,10 +242,6 @@ def tangency_residual(c: Conic, line: Line) -> float:
     qa = _adjugate(c.matrix())
     lv = line.vector()
     return abs(lv @ qa @ lv) / (np.linalg.norm(qa) * (lv @ lv))
-
-
-def is_tangent(c: Conic, line: Line, tol: float = 1e-9) -> bool:
-    return tangency_residual(c, line) < tol
 
 
 def conic_params(c: Conic):

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import Conic, Line, ProjectiveMap, conic_params, conic_from_ellipse, conic_transform
 from .errors import CayleyViolation, FamilyError, NotNested, RootToleranceExceeded
 
 # Reject |fg| -> 1, which breaks the constant-power denominators downstream.
@@ -53,24 +52,6 @@ class EllipseGeom:
 
     def contains(self, z: complex) -> bool:
         return abs(z - self.focus1) + abs(z - self.focus2) < self.major_axis_length
-
-    def to_conic(self) -> Conic:
-        center = (self.focus1 + self.focus2) / 2
-        c = abs(self.focus2 - self.focus1) / 2
-        semi_major = self.major_axis_length / 2
-        semi_minor = float(np.sqrt(semi_major ** 2 - c ** 2))
-        if c == 0:
-            angle = 0.0
-        else:
-            angle = float(np.angle(self.focus2 - self.focus1))
-        return conic_from_ellipse(center, semi_major, semi_minor, angle)
-
-    @staticmethod
-    def from_conic(c: Conic) -> "EllipseGeom":
-        center, semi_major, semi_minor, angle = conic_params(c)
-        foc = float(np.sqrt(max(semi_major ** 2 - semi_minor ** 2, 0.0)))
-        off = foc * complex(np.cos(angle), np.sin(angle))
-        return EllipseGeom(center - off, center + off, 2 * semi_major)
 
 
 @dataclass(frozen=True)
@@ -108,12 +89,6 @@ class PonceletFamily:
 
     def affine(self, z: complex) -> complex:
         return self.p * z + self.q * np.conj(z)
-
-    def affine_map(self) -> ProjectiveMap:
-        return ProjectiveMap(np.diag([self.a, self.b, 1.0]))
-
-    def outer_conic(self) -> Conic:
-        return conic_from_ellipse(0j, self.a, self.b, 0.0)
 
 
 def triangle_at(fam: PonceletFamily, theta) -> Triangle:
@@ -159,9 +134,27 @@ def inner_ellipse(fam: PonceletFamily) -> EllipseGeom:
 
 
 def inner_ellipse_world(fam: PonceletFamily) -> EllipseGeom:
-    """World-chart inscribed ellipse (affine image of inner_ellipse)."""
-    c = conic_transform(inner_ellipse(fam).to_conic(), fam.affine_map())
-    return EllipseGeom.from_conic(c)
+    """World-chart inscribed ellipse, the affine image of inner_ellipse.
+
+    Unit chart: c + alpha e^{it} + beta e^{-it}, c = (f + g)/2,
+    alpha, beta = u (L/2 +- b')/2 with u the unit direction from f to g
+    (1 when f = g), L the major axis, b' the semi-minor axis.  A carries
+    it to A(c) + alpha' e^{it} + beta' e^{-it}, alpha' = p alpha + q conj(beta),
+    beta' = p beta + q conj(alpha): major axis 2 (|alpha'| + |beta'|), foci
+    A(c) -+ 2 sqrt(alpha' beta'), their axis angle taken in [0, pi).
+    """
+    half = inner_ellipse(fam).major_axis_length / 2
+    minor = np.sqrt(half ** 2 - abs(fam.g - fam.f) ** 2 / 4)
+    u = np.exp(1j * np.angle(fam.g - fam.f))
+    alpha, beta = u * (half + minor) / 2, u * (half - minor) / 2
+    alpha_w = fam.p * alpha + fam.q * np.conj(beta)
+    beta_w = fam.p * beta + fam.q * np.conj(alpha)
+    off = 2 * np.sqrt(alpha_w * beta_w)
+    if not 0 <= np.angle(off) < np.pi:
+        off = -off
+    center = fam.affine((fam.f + fam.g) / 2)
+    return EllipseGeom(complex(center - off), complex(center + off),
+                       float(2 * (abs(alpha_w) + abs(beta_w))))
 
 
 def _preimage_foci(a: float, b: float, center: complex,

@@ -80,18 +80,15 @@ def barycenter(t: Triangle) -> complex:
     return (t.v1 + t.v2 + t.v3) / 3
 
 
-def orthocenter(t: Triangle) -> complex:
-    # H = v1 + v2 + v3 - 2 X3, valid in any chart.
-    return t.v1 + t.v2 + t.v3 - 2 * circumcenter(t)
+def orthocenter(t: Triangle, c: Circle) -> complex:
+    """H = v1 + v2 + v3 - 2 X3, valid in any chart; c is t's circumcircle."""
+    return t.v1 + t.v2 + t.v3 - 2 * c.center
 
 
-def euler_center(t: Triangle) -> complex:
-    return (circumcenter(t) + orthocenter(t)) / 2
-
-
-def euler_circle(t: Triangle) -> Circle:
-    c = circumcircle(t)
-    return Circle((c.center + orthocenter(t)) / 2, c.radius / 2)
+def euler_circle(t: Triangle, c: Circle) -> Circle:
+    """Nine-point circle: centre (X3 + H) / 2, radius R / 2, from t's
+    circumcircle c."""
+    return Circle((c.center + orthocenter(t, c)) / 2, c.radius / 2)
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,11 @@ class InversiveCoefficients:
     def denominator_scale(self) -> float:
         return 2 * abs(self.b2) + abs(self.b0)
 
+    def on_circumcircle(self, lam):
+        """True where the denominator is within 1e-10 of its scale, so the
+        inversion center is taken to lie on the circumcircle at lam."""
+        return np.abs(self.denominator(lam)) <= 1e-10 * self.denominator_scale()
+
 
 def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
     """a2, a1 = a b r^2 (c2, c1), a0 = a b r^2 (c0 - z0), b2 = a b M1(z0),
@@ -136,13 +138,13 @@ def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
                                  z0=k.center)
 
 
-def inversive_circumcenter_closed(coeffs: InversiveCoefficients,
-                                  theta: float) -> complex:
-    lam = np.exp(1j * theta)
-    den = coeffs.denominator(lam)
-    if abs(den) <= 1e-10 * coeffs.denominator_scale():
+def inversive_circumcenter_closed(coeffs: InversiveCoefficients, theta):
+    """X3' at theta, a scalar or an array; raises when the inversion center
+    is on the circumcircle at any of them."""
+    lam = np.exp(1j * np.asarray(theta, dtype=float))
+    if np.any(coeffs.on_circumcircle(lam)):
         raise OnCircumcircle("inversion center on the circumcircle at this theta")
-    return coeffs.z0 + coeffs.numerator(lam) / den
+    return coeffs.z0 + coeffs.numerator(lam) / coeffs.denominator(lam)
 
 
 def projective_map_of_locus(coeffs: InversiveCoefficients):

@@ -18,7 +18,6 @@ real wherever the quantity is real.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +26,10 @@ from .errors import DegenerateDenominator
 from .family import PonceletFamily
 
 
-class PowerKind(enum.Enum):
-    CIRCUMCIRCLE = "Circumcircle"
-    EULER_CIRCLE = "EulerCircle"
-
-
 @dataclass(frozen=True)
 class PowerPointResult:
     point: complex
     invariant_power: float
-    kind: PowerKind
 
 
 def power(p: complex, c) -> float:
@@ -60,8 +53,7 @@ def p3_point(fam: PonceletFamily) -> PowerPointResult:
     u = f * g
     pi3 = ((abs(f) ** 2 - 1) * (abs(g) ** 2 - 1) * abs(np.conj(f) * g - 1) ** 2
            * (2 * p * q * u.real - p ** 2 - q ** 2)) / (abs(u) ** 2 - 1) ** 2
-    return PowerPointResult(complex(fam.affine(p3_preimage(fam))), float(pi3),
-                            PowerKind.CIRCUMCIRCLE)
+    return PowerPointResult(complex(fam.affine(p3_preimage(fam))), float(pi3))
 
 
 def _p5_parts(fam: PonceletFamily) -> tuple[float, complex]:
@@ -99,8 +91,7 @@ def p5_point(fam: PonceletFamily) -> PowerPointResult:
         raise DegenerateDenominator("P5 denominator vanished")
     g1, g2 = p5_constants(fam)
     pi5 = (p ** 2 + q ** 2) * (abs(f * g) ** 2 - 1) * g1 / g2
-    return PowerPointResult(complex(num / (2 * d)), float(pi5),
-                            PowerKind.EULER_CIRCLE)
+    return PowerPointResult(complex(num / (2 * d)), float(pi5))
 
 
 def circumcenter_affine_in_lambda(

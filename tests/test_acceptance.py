@@ -187,7 +187,8 @@ def test_07_constant_power(rng):
     err3 = abs(p3.mean() - res3.invariant_power) / abs(res3.invariant_power)
 
     res5 = p5_point(fam)
-    p5 = np.array([power(res5.point, euler_circle(w)) for w in worlds])
+    p5 = np.array([power(res5.point, euler_circle(w, circumcircle(w)))
+                   for w in worlds])
     rel5 = p5.std() / abs(p5.mean())
     err5 = abs(p5.mean() - res5.invariant_power) / abs(res5.invariant_power)
 
@@ -234,7 +235,7 @@ def test_09_chapple_case():
     x5 = []
     for th in 2 * np.pi * np.arange(720) / 720:
         w = affine_image(fam, triangle_at(fam, th))
-        c = euler_circle(w)
+        c = euler_circle(w, circumcircle(w))
         x5.append(c.center)
     circ, resid = circle_fit(x5)
     concentric = abs(circ.center - f)

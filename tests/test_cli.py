@@ -12,6 +12,7 @@ from poncelet_inversive import (
     Conic,
     PonceletFamily,
     conic_fit,
+    conic_residual,
     exact_locus_conic,
     inversive_coeffs,
     p3_point,
@@ -107,7 +108,14 @@ class TestExitCodes:
         assert "family error" in capsys.readouterr().err
 
     def test_samples_override_validated(self, cfg_path, capsys):
-        assert main(["classify", "--config", cfg_path, "--samples", "8"]) == 2
+        assert main(["verify", "--config", cfg_path, "--samples", "8"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--out", "out"], ["--samples", "720"]],
+                             ids=["out", "samples"])
+    def test_classify_takes_only_config(self, cfg_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", cfg_path, *flag])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("mutate", [
         lambda raw: raw["inversion"].pop("center"),
@@ -118,8 +126,12 @@ class TestExitCodes:
         lambda raw: raw.update({"family": {
             "a": 2.0, "b": 1.3, "inner_circle_center": [0.15, -0.1],
             "inner_circle_radius": "x"}}),
+        lambda raw: raw.update({"tolerances": {"closed_form": 1e-3}}),
+        lambda raw: raw.update({"sample": 720}),
+        lambda raw: raw.pop("inversion"),
     ], ids=["no-center", "no-radius", "zero-radius", "text-radius",
-            "text-samples", "text-inner-radius"])
+            "text-samples", "text-inner-radius", "tolerances", "unknown-key",
+            "no-inversion"])
     def test_malformed_field_is_2(self, tmp_path, capsys, mutate):
         assert main(["classify", "--config", write_cfg(tmp_path, mutate)]) == 2
         assert "config error" in capsys.readouterr().err
@@ -213,19 +225,37 @@ class TestCommands:
     def test_inner_circle_family_with_small_gamma1(self, tmp_path, capsys):
         # gamma1 nearly cancels on this inscribed-circle family, so P5 must
         # come out real from the rounding alone.
-        a, b = 2.4767685645269455, 1.782570946591304
-        center = 0.12190868060156355 - 0.22755468527956835j
-        raw = {"family": {"a": a, "b": b,
-                          "inner_circle_center": [center.real, center.imag],
-                          "inner_circle_radius": family.solve_inner_radius(
-                              a, b, center)},
-               "inversion": {"center": [4.0, 3.0], "radius": 0.7}}
-        path = tmp_path / "inner.json"
-        path.write_text(json.dumps(raw))
+        path = _inner_circle_config(tmp_path, 2.4767685645269455,
+                                    1.782570946591304,
+                                    0.12190868060156355 - 0.22755468527956835j)
         out = str(tmp_path / "out")
-        assert main(["verify", "--config", str(path), "--out", out]) == 0
+        assert main(["verify", "--config", path, "--out", out]) == 0
         assert "p5_constant_power: PASS" in capsys.readouterr().out
-        assert main(["sweep", "--config", str(path), "--out", out]) == 0
+        assert main(["sweep", "--config", path, "--out", out]) == 0
+
+    def test_inner_circle_family_with_small_pi5(self, tmp_path, capsys):
+        # Pi5 is -1.4e-6 here, so a defect relative to |Pi5| would read
+        # 8e-8 from rounding alone; the check holds it to the Euler
+        # circles' mean squared radius instead.
+        path = _inner_circle_config(tmp_path, 1.283064071706802,
+                                    0.9004156560561578,
+                                    -0.11690163699765854 + 0.11687072193315158j)
+        assert main(["verify", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "p5_constant_power: PASS" in capsys.readouterr().out
+
+
+def _inner_circle_config(tmp_path, a, b, center) -> str:
+    """Config of the family inscribed in the circle about center whose
+    radius closes, inverted in the circle (4 + 3i, 0.7)."""
+    raw = {"family": {"a": a, "b": b,
+                      "inner_circle_center": [center.real, center.imag],
+                      "inner_circle_radius": family.solve_inner_radius(
+                          a, b, center)},
+           "inversion": {"center": [4.0, 3.0], "radius": 0.7}}
+    path = tmp_path / "inner.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 def _count_solves(monkeypatch):
@@ -400,6 +430,34 @@ class TestWriters:
                         else complex(np.nan, np.nan)
                         for i, c in enumerate(pattern)], dtype=complex)
         assert cli._svg_path(pts) == _reference_svg_path(pts)
+
+    def test_locus_overlay_lies_on_exact_conic(self, fam):
+        # O outside every circumcircle: the X3' locus is an ellipse, drawn
+        # whole inside write_svg's viewBox for EXTERIOR_K (half-widths 5.2
+        # and 4.2).
+        sw = analysis.sweep(fam, EXTERIOR_K, 256)
+        pts = cli._locus_polyline(sw.coeffs, 5.2, 4.2)
+        drawn = pts[~np.isnan(pts)]
+        assert len(drawn) >= 256
+        assert np.max(conic_residual(sw.exact_conic, drawn)) < 1e-9
+
+    def test_locus_overlay_segments_keep_to_one_branch(self, fam):
+        # O crosses the circumcircles: the locus is a hyperbola.  On it
+        # (x - c)^T M (x - c) = k, and the coordinate along the eigenvector
+        # of M whose eigenvalue has the sign of k never vanishes, so its
+        # sign tells the branches apart.  The viewBox half-widths for
+        # REF_K are 3.2 and 2.1.
+        sw = analysis.sweep(fam, REF_K, 256)
+        q = sw.exact_conic.matrix()
+        c = np.linalg.solve(q[:2, :2], -q[:2, 2])
+        k = -np.linalg.det(q) / np.linalg.det(q[:2, :2])
+        evals, evecs = np.linalg.eigh(q[:2, :2])
+        axis = evecs[:, np.argmax(evals * np.sign(k))]
+        pts = cli._locus_polyline(sw.coeffs, 3.2, 2.1)
+        side = np.sign(axis[0] * (pts.real - c[0]) + axis[1] * (pts.imag - c[1]))
+        segment = ~np.isnan(pts[:-1]) & ~np.isnan(pts[1:])
+        assert set(side[:-1][segment]) == {-1.0, 1.0}  # both branches drawn
+        assert np.all(side[:-1][segment] == side[1:][segment])
 
     def test_csv_memory_does_not_grow_with_samples(self, fam, tmp_path):
         sw = analysis.sweep(fam, EXTERIOR_K, 16384)

@@ -12,7 +12,6 @@ from poncelet_inversive import (
     circumcenter_affine_in_lambda,
     circumcenter,
     circumcircle,
-    euler_center,
     euler_circle,
     exact_locus_conic,
     inversive_circumcenter_closed,
@@ -77,7 +76,7 @@ class TestTriangleCenters:
         assert circumcircle(self.T).radius == pytest.approx(np.sqrt(2) / 2)
 
     def test_right_triangle_orthocenter_at_right_angle(self):
-        assert abs(orthocenter(self.T)) < 1e-15
+        assert abs(orthocenter(self.T, circumcircle(self.T))) < 1e-15
 
     def test_equidistance(self, rng):
         for _ in range(20):
@@ -102,13 +101,13 @@ class TestTriangleCenters:
                            for _ in range(3)))
             medial = Triangle((t.v1 + t.v2) / 2, (t.v2 + t.v3) / 2,
                               (t.v3 + t.v1) / 2)
-            assert abs(euler_center(t) - circumcenter(medial)) < 1e-10
-            assert euler_circle(t).radius == pytest.approx(
-                circumcircle(t).radius / 2)
+            euler = euler_circle(t, circumcircle(t))
+            assert abs(euler.center - circumcenter(medial)) < 1e-10
+            assert euler.radius == pytest.approx(circumcircle(t).radius / 2)
 
     def test_euler_line_collinearity(self, rng):
         t = Triangle(0.3 + 0.1j, -1 + 0.8j, 1.2 - 0.9j)
-        x3, h = circumcenter(t), orthocenter(t)
+        x3, h = circumcenter(t), orthocenter(t, circumcircle(t))
         g = barycenter(t)
         # G divides OH in ratio 1:2 from O.
         assert abs(g - (x3 + (h - x3) / 3)) < 1e-12
@@ -160,13 +159,14 @@ class TestClosedForm:
                 assert abs(inversive_circumcenter_closed(co, th) - direct) \
                     < 1e-9 * max(1.0, abs(direct))
 
-    def test_denominator_is_twice_power(self, fam):
-        # The real denominator equals 2 * power(O, circumcircle).
+    def test_denominator_is_ab_times_power(self, fam):
+        # The real denominator equals a b power(O, circumcircle).
         co = inversive_coeffs(fam, REF_K)
         for th in (0.2, 1.1, 3.0, 5.5):
             circ = circumcircle(affine_image(fam, triangle_at(fam, th)))
             pw = abs(REF_K.center - circ.center) ** 2 - circ.radius ** 2
-            assert co.denominator(np.exp(1j * th)) == pytest.approx(2 * pw)
+            assert co.denominator(np.exp(1j * th)) == pytest.approx(
+                fam.a * fam.b * pw)
 
     def test_closed_form_scales_with_ab(self, rng):
         # denominator = a b power(O, circumcircle) and numerator =

@@ -4,7 +4,6 @@ import pytest
 from poncelet_inversive import (
     Circle,
     PonceletFamily,
-    PowerKind,
     affine_image,
     circumcircle,
     p3_point,
@@ -35,7 +34,6 @@ class TestP3:
         res = p3_point(fam)
         assert res.point == 0j
         assert res.invariant_power == pytest.approx(-(fam.p ** 2 + fam.q ** 2))
-        assert res.kind is PowerKind.CIRCUMCIRCLE
 
     def test_chapple_formula(self):
         f = 0.2 - 0.3j
@@ -68,7 +66,6 @@ class TestP5:
         fam = PonceletFamily.from_axes(0.0, 0.0, 2.0, 1.0)
         res = p5_point(fam)
         assert res.point == 0j
-        assert res.kind is PowerKind.EULER_CIRCLE
         g1, g2 = p5_constants(fam)
         p, q = fam.p, fam.q
         assert g1 == pytest.approx(q ** 4 * p ** 4)
@@ -88,9 +85,8 @@ class TestP5:
         for _ in range(10):
             fam = random_family(rng)
             res = p5_point(fam)
-            pows = [power(res.point, euler_circle(
-                affine_image(fam, triangle_at(fam, th))))
-                for th in rng.uniform(0, 2 * np.pi, 16)]
+            w = affine_image(fam, triangle_at(fam, rng.uniform(0, 2 * np.pi, 16)))
+            pows = power(res.point, euler_circle(w, circumcircle(w)))
             assert np.std(pows) < 1e-9 * abs(np.mean(pows))
             assert np.mean(pows) == pytest.approx(res.invariant_power, rel=1e-8)
 
@@ -102,7 +98,7 @@ def test_p5_power_on_inner_circle_families(rng):
         fam = random_inner_circle_family(rng)
         w = affine_image(fam, triangle_at(fam, th))
         res = p5_point(fam)
-        err = np.max(np.abs(power(res.point, euler_circle(w))
+        err = np.max(np.abs(power(res.point, euler_circle(w, circumcircle(w)))
                             - res.invariant_power))
         assert err <= 1e-10 * np.mean(circumcircle(w).radius ** 2)
 
