@@ -22,7 +22,7 @@ from .conics import (
     tangency_residual,
     tangents_from_point,
 )
-from .errors import AmbiguousBoundary, SingularMap
+from .errors import SingularMap
 from .family import PonceletFamily, Triangle, affine_image, triangle_at
 from .inversive import (
     Circle,
@@ -39,7 +39,7 @@ from .inversive import (
 from .power import p3_point, power
 
 _SKIP_POWER_TOL = 1e-8
-_BOUNDARY_POWER_TOL = 1e-6
+_BOUNDARY_MARGIN = 1e-6
 
 
 @dataclass
@@ -129,86 +129,53 @@ class OLocationKind(enum.Enum):
 class OLocation:
     kind: OLocationKind
     crossing_count: int
+    margin: float
 
 
 def classify_O(fam: PonceletFamily, k: Circle) -> OLocation:
     """Locate the inversion center against the circumcircle sweep region.
 
     The X3' denominator b0 + 2 Re(b2 lam) is a b times the power of O with
-    respect to the circumcircle at lam, a sinusoid in theta: it changes
-    sign iff |b0| < 2 |b2|, and otherwise keeps the sign of b0 (positive:
-    O outside every circumcircle; negative: inside all, reported Interior).
-    The boundary |b0| = 2 |b2| is read off the parabola band of the exact
-    locus conic, so the reported location obeys the conic-type law.  One
-    loop of the family parameter only permutes the vertices cyclically, so
-    crossing counts are per vertex revolution (three loops): 6 when
-    crossed, 3 double roots on the boundary, 0 otherwise.
+    respect to the circumcircle at lam, so that power's sinusoid is
+    (b0, 2 |b2|) up to scale.  O is on the boundary when the exact locus
+    conic classifies as a parabola, so the location obeys the conic-type
+    law.
     """
     coeffs = inversive_coeffs(fam, k)
     try:
         locus = conic_classify(exact_locus_conic(coeffs))
     except SingularMap:  # the X3' locus collapses to a point (e.g. a = b)
         locus = None
-    return locate_O(coeffs, locus)
+    return locate_O(coeffs.b0, 2 * abs(coeffs.b2), locus is ConicType.PARABOLA)
 
 
-def locate_O(coeffs: InversiveCoefficients,
-             locus: ConicType | None) -> OLocation:
-    """classify_O from the X3' coefficients and the type of their exact
-    locus conic (None when it does not exist), for callers that hold both."""
-    if locus is ConicType.PARABOLA:
-        return OLocation(OLocationKind.BOUNDARY, 3)
-    if abs(coeffs.b0) < 2 * abs(coeffs.b2):
-        return OLocation(OLocationKind.INTERIOR, 6)
-    kind = OLocationKind.EXTERIOR if coeffs.b0 > 0 else OLocationKind.INTERIOR
-    return OLocation(kind, 0)
+def locate_O(c0: float, amp: float, boundary: bool) -> OLocation:
+    """O location from the power of O over the family, the sinusoid
+    c0 + amp cos(theta + phi), with the signed margin
+    (|c0| - amp) / (|c0| + amp): Boundary when `boundary`, else crossed
+    (Interior) iff |c0| < amp, else Exterior when c0 > 0 (O outside every
+    circumcircle) and Interior when c0 < 0 (inside all).  Crossings count
+    per vertex revolution (a loop of the parameter permutes the vertices
+    cyclically): 6 when crossed, 3 double roots on the boundary, else 0."""
+    margin = (abs(c0) - amp) / ((abs(c0) + amp) or 1.0)  # 0 if power == 0
+    if boundary:
+        return OLocation(OLocationKind.BOUNDARY, 3, margin)
+    if abs(c0) < amp:
+        return OLocation(OLocationKind.INTERIOR, 6, margin)
+    kind = OLocationKind.EXTERIOR if c0 > 0 else OLocationKind.INTERIOR
+    return OLocation(kind, 0, margin)
 
 
 def _sampled_location(sw: SweepResult) -> OLocation:
     """O location read off the sampled power of O, independently of the
-    closed-form coefficients.
-
-    Counts sign changes of theta -> power(O, circumcircle(theta)) over the
-    sweep; local |power| minima below 1e-6 r^2 without a sign change are
-    tangencies and flag the boundary case, as does a crossing pair whose
-    every excursion past zero is that shallow.  Any other count raises
-    AmbiguousBoundary.
-    """
+    closed-form coefficients.  On the uniform theta grid the least-squares
+    fit of [1, cos, sin] is a projection: c0 = mean(power) and
+    amp = 2 |mean(power e^{-i theta})|."""
     pw = sw.power_at_O
-    r2 = sw.circumcircles.radius ** 2
-    prev, nxt = np.roll(pw, 1), np.roll(pw, -1)
-    crossings = int(np.count_nonzero(pw * nxt < 0))
-    eps = _BOUNDARY_POWER_TOL * r2
-    size = np.abs(pw)
-    tangencies = int(np.count_nonzero(
-        (size <= np.abs(prev)) & (size < np.abs(nxt)) & (size < eps)
-        & (prev * pw > 0) & (pw * nxt > 0)))
-
-    if crossings == 0:
-        if tangencies > 0:
-            return OLocation(OLocationKind.BOUNDARY, 3 * tangencies)
-        kind = OLocationKind.INTERIOR if np.all(pw < 0) else OLocationKind.EXTERIOR
-        return OLocation(kind, 0)
-    if crossings == 2:
-        return OLocation(OLocationKind.INTERIOR, 3 * crossings)
-    # A boundary configuration can split each double root into a shallow
-    # crossing pair; accept it when every excursion past zero is shallow.
-    minority = pw > 0 if np.sum(pw > 0) < len(pw) / 2 else pw < 0
-    if crossings % 2 == 0 and np.all(size[minority] < eps[minority]):
-        return OLocation(OLocationKind.BOUNDARY, 3 * crossings)
-    raise AmbiguousBoundary(
-        f"unexpected per-loop crossing count {crossings} "
-        f"with {tangencies} tangencies")
-
-
-def _expected_type(loc: OLocation) -> ConicType:
-    # The locus is unbounded exactly when the closed-form denominator (a b
-    # times the power of O) vanishes somewhere, i.e. when crossings occur.
-    # An always-negative power is classified Interior with zero crossings
-    # (O in the hole of the swept annulus); the locus is then still bounded.
-    if loc.kind is OLocationKind.BOUNDARY:
-        return ConicType.PARABOLA
-    return ConicType.HYPERBOLA if loc.crossing_count > 0 else ConicType.ELLIPSE
+    c0 = float(np.mean(pw))
+    amp = 2 * float(abs(np.mean(pw * np.exp(-1j * sw.thetas))))
+    return locate_O(c0, amp,
+                    abs(abs(c0) - amp) <= _BOUNDARY_MARGIN * (abs(c0) + amp))
 
 
 @dataclass(frozen=True)
@@ -219,12 +186,16 @@ class ConicTypeReport:
 
 
 def verify_conic_type(sw: SweepResult) -> ConicTypeReport:
-    """Check the conic-type law: Exterior -> ellipse, Interior (crossed)
-    -> hyperbola, Boundary -> parabola.  O is located from the sweep's
-    sampled power, so the boundary resolution follows the sample count."""
+    """Check the conic-type law against the sampled location: an ellipse
+    needs margin > 0 (O outside every circumcircle or inside all), a
+    hyperbola margin < 0 (O crossed), a parabola |margin| within
+    _BOUNDARY_MARGIN, which holds conic_classify's parabola band."""
     loc = _sampled_location(sw)
     ctype = conic_classify(sw.exact_conic)
-    return ConicTypeReport(loc, ctype, _expected_type(loc) == ctype)
+    lawful = {ConicType.ELLIPSE: loc.margin > 0,
+              ConicType.HYPERBOLA: loc.margin < 0,
+              ConicType.PARABOLA: loc.kind is OLocationKind.BOUNDARY}
+    return ConicTypeReport(loc, ctype, lawful.get(ctype, False))
 
 
 @dataclass

@@ -60,11 +60,15 @@ def load_config(path: str, samples: int | None = None) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     sections = {"family", "inversion"}
     if not sections <= set(raw) <= sections | {"samples"}:
         raise ConfigError("config takes family, inversion and optionally "
                           f"samples, got {sorted(raw)}")
     fam_spec, inv_spec = raw["family"], raw["inversion"]
+    if not (isinstance(fam_spec, dict) and isinstance(inv_spec, dict)):
+        raise ConfigError("family and inversion must be JSON objects")
 
     has_foci = "f" in fam_spec and "g" in fam_spec
     has_circle = "inner_circle_center" in fam_spec and "inner_circle_radius" in fam_spec
@@ -221,6 +225,11 @@ def _skip(lines, name, note=""):
     lines.append(f"{name}: SKIP {note}".rstrip())
 
 
+def _location_note(loc: analysis.OLocation, ctype: conics.ConicType) -> str:
+    return (f"O={loc.kind.value} locus={ctype.value} "
+            f"crossings={loc.crossing_count} margin={loc.margin:+.3e}")
+
+
 def _power_defect(res, circles: inversive.Circle) -> float:
     """max(std, |mean - Pi|) of the power of res.point with respect to the
     circles, over their mean squared radius."""
@@ -259,14 +268,9 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     all_ok &= _check(lines, "sweep_on_exact_conic", resid < 1e-9, resid)
 
     # Conic type vs O location.
-    try:
-        rep = analysis.verify_conic_type(sw)
-        all_ok &= _check(lines, "conic_type_law", rep.consistent,
-                         note=f"O={rep.o_location.kind.value} "
-                              f"locus={rep.conic_type.value} "
-                              f"crossings={rep.o_location.crossing_count}")
-    except GeometryError as exc:
-        all_ok &= _check(lines, "conic_type_law", False, note=str(exc))
+    rep = analysis.verify_conic_type(sw)
+    all_ok &= _check(lines, "conic_type_law", rep.consistent,
+                     note=_location_note(rep.o_location, rep.conic_type))
 
     # Collinearity, ratio, pencil, on the unskipped samples (NaN compares
     # False) where O is neither X3 nor X3' (collinearity_and_ratio
@@ -354,9 +358,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path | None) -> int:
 def cmd_classify(cfg: RunConfig) -> int:
     coeffs = inversive.inversive_coeffs(cfg.fam, cfg.inversion)
     ctype = conics.conic_classify(inversive.exact_locus_conic(coeffs))
-    loc = analysis.locate_O(coeffs, ctype)
-    print(f"O={loc.kind.value} locus={ctype.value} "
-          f"crossings={loc.crossing_count}")
+    loc = analysis.locate_O(coeffs.b0, 2 * abs(coeffs.b2),
+                            ctype is conics.ConicType.PARABOLA)
+    print(_location_note(loc, ctype))
     return 0
 
 

@@ -51,7 +51,3 @@ class DegenerateConfiguration(GeometryError):
 
 class DegenerateDenominator(GeometryError):
     """Closed-form denominator vanished."""
-
-
-class AmbiguousBoundary(GeometryError):
-    """Circumcircle-crossing count matched no known classification."""

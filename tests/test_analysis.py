@@ -6,6 +6,7 @@ from poncelet_inversive import (
     ConicType,
     OLocationKind,
     PonceletFamily,
+    affine_image,
     circle_fit,
     classify_O,
     conic_fit,
@@ -18,11 +19,12 @@ from poncelet_inversive import (
     p3_point,
     similitude_check,
     sweep,
+    triangle_at,
     verify_conic_type,
 )
 from poncelet_inversive import analysis
 
-from conftest import EXTERIOR_K, REF_K, random_circle, random_family
+from conftest import EXTERIOR_K, REF_A, REF_K, random_circle, random_family
 
 
 class TestSweep:
@@ -79,12 +81,11 @@ def _margin(fam, k):
     return (abs(co.b0) - 2 * abs(co.b2)) / (abs(co.b0) + 2 * abs(co.b2))
 
 
-def _at_margin(fam, target):
-    """Inversion circle on the REF_K -> EXTERIOR_K segment whose margin is
-    target, by bisection (the margin runs from negative to positive)."""
+def _at_margin(fam, target, end=EXTERIOR_K.center):
+    """Inversion circle on the segment from REF_K to center end whose margin
+    is target, by bisection (the margin runs from negative to positive)."""
     def circle(t):
-        return Circle(REF_K.center + t * (EXTERIOR_K.center - REF_K.center),
-                      REF_K.radius)
+        return Circle(REF_K.center + t * (end - REF_K.center), REF_K.radius)
 
     lo, hi = 0.0, 1.0
     for _ in range(100):
@@ -128,6 +129,7 @@ class TestClassifyO:
             oracle = verify_conic_type(sweep(f, k, 4096)).o_location
             assert (loc.kind, loc.crossing_count) \
                 == (oracle.kind, oracle.crossing_count)
+            assert abs(oracle.margin - loc.margin) <= 1e-12
             seen.add((loc.kind, loc.crossing_count))
         assert seen == {(OLocationKind.EXTERIOR, 0),
                         (OLocationKind.INTERIOR, 6),
@@ -137,12 +139,55 @@ class TestClassifyO:
         a = verify_conic_type(sweep(fam, REF_K, 1024)).o_location
         b = verify_conic_type(sweep(fam, REF_K, 4096)).o_location
         assert (a.kind, a.crossing_count) == (b.kind, b.crossing_count)
+        # The power of O is exactly one sinusoid, so its fit does not move
+        # with the grid.
+        c = verify_conic_type(sweep(fam, REF_K, 64)).o_location
+        assert max(abs(a.margin - c.margin), abs(b.margin - c.margin)) <= 1e-12
 
     def test_conic_type_law_consistency(self, fam):
         rep = verify_conic_type(sweep(fam, REF_K, 4096))
         assert rep.consistent and rep.conic_type is ConicType.HYPERBOLA
         rep = verify_conic_type(sweep(fam, EXTERIOR_K, 4096))
         assert rep.consistent and rep.conic_type is ConicType.ELLIPSE
+
+    def test_swapped_conic_type_is_inconsistent(self, fam, monkeypatch):
+        swap = {ConicType.ELLIPSE: ConicType.HYPERBOLA,
+                ConicType.HYPERBOLA: ConicType.ELLIPSE}
+        classify = analysis.conic_classify
+        monkeypatch.setattr(analysis, "conic_classify",
+                            lambda c: swap[classify(c)])
+        for k in (REF_K, EXTERIOR_K):
+            assert not verify_conic_type(sweep(fam, k, 256)).consistent
+
+    @pytest.mark.parametrize("n", [720, 4096])
+    def test_law_near_boundary(self, fam, n):
+        # O stepped delta a off the boundary, to both sides, along two rays
+        # from REF_K: outward to the outer boundary, and toward the family's
+        # centre to the inner one (O inside every circumcircle beyond it).
+        for end in (EXTERIOR_K.center, 0j):
+            on = _at_margin(fam, 0.0, end).center
+            step = REF_A * (end - REF_K.center) / abs(end - REF_K.center)
+            for delta in np.logspace(-10, -6, 8):
+                for side in (-1, 1):
+                    k = Circle(on + side * delta * step, REF_K.radius)
+                    rep = verify_conic_type(sweep(fam, k, n))
+                    m = rep.o_location.margin
+                    assert rep.consistent, (end, side * delta, rep)
+                    if abs(m) > 1e-12:
+                        assert np.sign(m) == np.sign(_margin(fam, k))
+
+    def test_O_on_a_vertex(self, fam):
+        # The sampled power of O is exactly 0 at theta = 0.
+        o = complex(affine_image(fam, triangle_at(fam, 0.0)).v1)
+        rep = verify_conic_type(sweep(fam, Circle(o, REF_K.radius), 256))
+        assert rep.consistent
+        assert rep.o_location.kind is OLocationKind.INTERIOR
+        assert rep.o_location.crossing_count == 6
+
+    def test_O_on_every_circumcircle(self):
+        # Unit circumcircle for every theta, O on it: the power is 0.
+        fam = PonceletFamily.from_axes(0.0, 0.0, 1.0, 1.0)
+        assert classify_O(fam, Circle(1 + 0j, 0.5)).margin == 0.0
 
 
 class TestSimilitude:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -129,11 +130,19 @@ class TestExitCodes:
         lambda raw: raw.update({"tolerances": {"closed_form": 1e-3}}),
         lambda raw: raw.update({"sample": 720}),
         lambda raw: raw.pop("inversion"),
+        lambda raw: raw.update({"family": 5}),
     ], ids=["no-center", "no-radius", "zero-radius", "text-radius",
             "text-samples", "text-inner-radius", "tolerances", "unknown-key",
-            "no-inversion"])
+            "no-inversion", "number-family"])
     def test_malformed_field_is_2(self, tmp_path, capsys, mutate):
         assert main(["classify", "--config", write_cfg(tmp_path, mutate)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "null"])
+    def test_non_object_config_is_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["classify", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
 
@@ -141,7 +150,8 @@ class TestCommands:
     def test_classify_output(self, cfg_path, capsys):
         assert main(["classify", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
-        assert out == "O=Interior locus=Hyperbola crossings=6\n"
+        assert out == ("O=Interior locus=Hyperbola crossings=6 "
+                       "margin=-4.437e-01\n")
 
     def test_sweep_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -207,6 +217,22 @@ class TestCommands:
         assert "conic_type_law: PASS" in text
         assert "homothety: SKIP" in text  # O is not P3 in this config
         assert (out / "report.txt").read_text() == text
+
+    def test_verify_line_contract(self, cfg_path, tmp_path, capsys):
+        # One line per check, in this order; the conic-type law's note is
+        # key=value tokens ending in the signed margin.
+        main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":", 1)[0] for line in lines] == [
+            "closed_form_vs_direct", "projectivity_hypotheses",
+            "exact_vs_fitted_conic", "sweep_on_exact_conic", "conic_type_law",
+            "collinearity", "distance_ratio", "pencil_membership",
+            "p3_constant_power", "p5_constant_power", "p3_interiority",
+            "similitude_tangency", "homothety", "poncelet_closure",
+            "nonconic_evidence"]
+        assert re.fullmatch(
+            r"conic_type_law: PASS O=Interior locus=Hyperbola crossings=6 "
+            r"margin=-\d\.\d{3}e[+-]\d{2}", lines[4])
 
     def test_verify_at_p3_runs_homothety(self, tmp_path, capsys):
         from poncelet_inversive import PonceletFamily, p3_point
