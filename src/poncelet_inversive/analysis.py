@@ -6,11 +6,12 @@ non-conic evidence reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from . import conics
 from .conics import (
     Conic,
     ConicType,
@@ -130,23 +131,26 @@ class OLocation:
     kind: OLocationKind
     crossing_count: int
     margin: float
+    locus: ConicType | None = None  # the exact X3' locus type (classify_O)
 
 
 def classify_O(fam: PonceletFamily, k: Circle) -> OLocation:
-    """Locate the inversion center against the circumcircle sweep region.
+    """Locate the inversion center against the circumcircle sweep region,
+    with the type of the exact X3' locus (Point when it collapses, a = b).
 
     The X3' denominator b0 + 2 Re(b2 lam) is a b times the power of O with
     respect to the circumcircle at lam, so that power's sinusoid is
     (b0, 2 |b2|) up to scale.  O is on the boundary when the exact locus
     conic classifies as a parabola, so the location obeys the conic-type
-    law.
+    law.  conics.conic_classify is looked up per call, so it can be swapped.
     """
     coeffs = inversive_coeffs(fam, k)
     try:
-        locus = conic_classify(exact_locus_conic(coeffs))
-    except SingularMap:  # the X3' locus collapses to a point (e.g. a = b)
-        locus = None
-    return locate_O(coeffs.b0, 2 * abs(coeffs.b2), locus is ConicType.PARABOLA)
+        locus = conics.conic_classify(exact_locus_conic(coeffs))
+    except SingularMap:
+        locus = ConicType.POINT
+    loc = locate_O(coeffs.b0, 2 * abs(coeffs.b2), locus is ConicType.PARABOLA)
+    return replace(loc, locus=locus)
 
 
 def locate_O(c0: float, amp: float, boundary: bool) -> OLocation:

@@ -260,9 +260,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
 
     # Exact vs fitted conic, sweep residuals.
     exact = sw.exact_conic
-    fitted = conics.conic_fit(sw.valid("x3p"))
-    dist = min(exact.distance(fitted),
-               float(np.linalg.norm(exact.coeffs + fitted.coeffs)))
+    dist = conics.conic_fit(sw.valid("x3p")).distance(exact)  # fit's chart
     all_ok &= _check(lines, "exact_vs_fitted_conic", dist < 1e-8, dist)
     resid = np.max(conics.conic_residual(exact, sw.valid("x3p")))
     all_ok &= _check(lines, "sweep_on_exact_conic", resid < 1e-9, resid)
@@ -356,11 +354,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path | None) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    coeffs = inversive.inversive_coeffs(cfg.fam, cfg.inversion)
-    ctype = conics.conic_classify(inversive.exact_locus_conic(coeffs))
-    loc = analysis.locate_O(coeffs.b0, 2 * abs(coeffs.b2),
-                            ctype is conics.ConicType.PARABOLA)
-    print(_location_note(loc, ctype))
+    loc = analysis.classify_O(cfg.fam, cfg.inversion)
+    print(_location_note(loc, loc.locus))
     return 0
 
 

@@ -1,8 +1,11 @@
 """Conic and projective-map algebra.
 
-Conics are stored as the 6 real coefficients (A, B, C, D, E, F) of
-A x^2 + B xy + C y^2 + D x + E y + F = 0, canonicalized to a unit-norm
-vector whose first nonzero entry is positive, so equality is testable.
+A conic carries a chart, the similarity world = center + scale * chart, and
+is stored as the canonical (unit-norm, first nonzero entry positive)
+coefficients (A, B, C, D, E, F) of A x^2 + B xy + C y^2 + D x + E y + F = 0
+in chart coordinates.  Every rank, type, tangent, parameter, residual and
+distance test here runs in the chart, so a small conic far from the origin
+is as well conditioned as a unit one; `Conic.coeffs` makes world ones.
 """
 
 from __future__ import annotations
@@ -14,15 +17,19 @@ import numpy as np
 
 from .errors import DegenerateConicError, DegenerateInput, SingularMap
 
-# Relative rank cutoff for "this 3x3 conic matrix is rank deficient".
-_RANK_TOL = 1e-9
-
 
 class ConicType(enum.Enum):
     ELLIPSE = "Ellipse"
     PARABOLA = "Parabola"
     HYPERBOLA = "Hyperbola"
     DEGENERATE = "DegenerateConic"
+    POINT = "Point"  # a locus collapsed to one point: no conic
+
+
+def _rank_deficient(s: np.ndarray, rank: int = 3) -> bool:
+    """The one rank test, on the singular values of a matrix in chart
+    coordinates: a conic or a map into a chart (3), a fit's design (5)."""
+    return bool(s[rank - 1] <= 1e-9 * s[0])
 
 
 def _canonical(coeffs: np.ndarray) -> np.ndarray:
@@ -30,56 +37,74 @@ def _canonical(coeffs: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     if n == 0.0 or not np.all(np.isfinite(v)):
         raise ValueError("conic coefficients must be finite and not all zero")
-    v = v / n
-    for x in v:
-        if x != 0.0:
-            if x < 0.0:
-                v = -v
-            break
-    return v
+    return v / n if v[np.flatnonzero(v)[0]] > 0 else -v / n
+
+
+@dataclass(frozen=True)
+class Chart:
+    """The similarity world = center + scale * chart."""
+
+    center: complex = 0j
+    scale: float = 1.0
+
+    @property
+    def m(self) -> np.ndarray:
+        """T, with [world, 1] = T [chart, 1]."""
+        s, c = self.scale, self.center
+        return np.array([[s, 0.0, c.real], [0.0, s, c.imag], [0.0, 0.0, 1.0]])
+
+    def local(self, z):
+        return (z - self.center) / self.scale
 
 
 @dataclass(frozen=True)
 class Conic:
-    """Canonical-form conic A x^2 + B xy + C y^2 + D x + E y + F = 0."""
+    """A x^2 + B xy + C y^2 + D x + E y + F = 0 in its chart (default: world)."""
 
-    coeffs: np.ndarray
+    local: np.ndarray
+    chart: Chart = Chart()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canonical(self.coeffs))
+        object.__setattr__(self, "local", _canonical(self.local))
 
     @property
-    def A(self):
-        return self.coeffs[0]
+    def coeffs(self) -> np.ndarray:
+        """Canonical world coefficients."""
+        return Conic.from_matrix(self.matrix()).local
 
-    @property
-    def B(self):
-        return self.coeffs[1]
+    A = property(lambda self: self.coeffs[0])
+    B = property(lambda self: self.coeffs[1])
+    C = property(lambda self: self.coeffs[2])
 
-    @property
-    def C(self):
-        return self.coeffs[2]
-
-    def matrix(self) -> np.ndarray:
-        """Symmetric 3x3 matrix Q with [x y 1] Q [x y 1]^T = conic."""
-        A, B, C, D, E, F = self.coeffs
+    def local_matrix(self) -> np.ndarray:
+        """Symmetric 3x3 Q with [w 1] Q [w 1]^T = conic at chart point w."""
+        A, B, C, D, E, F = self.local
         return np.array([[A, B / 2, D / 2],
                          [B / 2, C, E / 2],
                          [D / 2, E / 2, F]])
 
+    def matrix(self) -> np.ndarray:
+        """The world matrix T^-T Q T^-1."""
+        ti = np.linalg.inv(self.chart.m)
+        return ti.T @ self.local_matrix() @ ti
+
     @staticmethod
-    def from_matrix(q: np.ndarray) -> "Conic":
+    def from_matrix(q: np.ndarray, chart: Chart = Chart()) -> "Conic":
         q = 0.5 * (q + q.T)
         return Conic(np.array([q[0, 0], 2 * q[0, 1], q[1, 1],
-                               2 * q[0, 2], 2 * q[1, 2], q[2, 2]]))
+                               2 * q[0, 2], 2 * q[1, 2], q[2, 2]]), chart)
 
     @staticmethod
     def unit_circle() -> "Conic":
         return Conic(np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0]))
 
     def distance(self, other: "Conic") -> float:
-        """Euclidean distance between canonical coefficient vectors."""
-        return float(np.linalg.norm(self.coeffs - other.coeffs))
+        """Distance of the canonical coefficients in self's chart, up to sign."""
+        rel = Chart(other.chart.local(self.chart.center),
+                    self.chart.scale / other.chart.scale).m  # self's in other's
+        v = Conic.from_matrix(rel.T @ other.local_matrix() @ rel).local
+        return float(min(np.linalg.norm(self.local - v),
+                         np.linalg.norm(self.local + v)))
 
 
 @dataclass(frozen=True)
@@ -97,9 +122,6 @@ class Line:
         object.__setattr__(self, "a", self.a / n)
         object.__setattr__(self, "b", self.b / n)
         object.__setattr__(self, "c", self.c / n)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
 
     def signed_distance(self, p: complex) -> float:
         return self.a * p.real + self.b * p.imag + self.c
@@ -120,8 +142,8 @@ class ProjectiveMap:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError("projective map must be 3x3")
-        scale = np.abs(m).max(axis=1, keepdims=True)
-        if np.any(scale == 0) or abs(np.linalg.det(m / scale)) <= 1e-12:
+        if not np.all(np.isfinite(m)) or _rank_deficient(
+                np.linalg.svd(m, compute_uv=False)):
             raise SingularMap("projective map is singular within tolerance")
         object.__setattr__(self, "m", m)
 
@@ -129,52 +151,44 @@ class ProjectiveMap:
         v = self.m @ np.array([p.real, p.imag, 1.0])
         return complex(v[0] / v[2], v[1] / v[2])
 
-    def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
-        return ProjectiveMap(self.m @ other.m)
-
     def inverse(self) -> "ProjectiveMap":
         return ProjectiveMap(np.linalg.inv(self.m))
 
     @staticmethod
     def affine(scale: float, offset: complex) -> "ProjectiveMap":
-        return ProjectiveMap(np.array([[scale, 0.0, offset.real],
-                                       [0.0, scale, offset.imag],
-                                       [0.0, 0.0, 1.0]]))
+        return ProjectiveMap(Chart(offset, scale).m)
 
 
 def conic_fit(points) -> Conic:
-    """Least-squares conic through >= 5 points (algebraic distance).
-
-    Exact through the points when exactly 5 independent points are given.
-    Raises DegenerateInput on rank deficiency or coincident points.
-    """
+    """Least-squares conic through >= 5 points (algebraic distance), exact
+    through 5 independent ones, in the chart centred on their mean and
+    scaled by their largest distance from it.  Raises DegenerateInput on
+    coincident points or when the fit is not unique (points on a line)."""
     arr = np.asarray(points, dtype=complex)
     if len(arr) < 5:
         raise DegenerateInput("need at least 5 points to fit a conic")
+    # All points equal: the unit chart, where the design has rank 1.
+    chart = Chart(arr.mean(), float(np.max(np.abs(arr - arr.mean()))) or 1.0)
+    w = chart.local(arr)
     if len(arr) <= 64:  # pairwise coincidence check only at small sizes
-        d = np.abs(arr[:, None] - arr[None, :])
+        d = np.abs(w[:, None] - w[None, :])
         if np.any(d[np.triu_indices(len(arr), 1)] < 1e-12):
             raise DegenerateInput("coincident points in conic fit")
-    x, y = arr.real, arr.imag
+    x, y = w.real, w.imag
     design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
-    # Column scaling stabilizes the fit when coordinates are large.
-    col = np.abs(design).max(axis=0)
-    col[col == 0] = 1.0
     # The thin SVD keeps all six rows of vt from six points on, and skips
     # the n x n U; five points need the full one for the null row.
-    _, s, vt = np.linalg.svd(design / col, full_matrices=len(arr) < 6)
-    if s[4] <= 1e-10 * s[0]:
+    _, s, vt = np.linalg.svd(design, full_matrices=len(arr) < 6)
+    if _rank_deficient(s, 5):
         raise DegenerateInput("design matrix rank < 5 (points on a line?)")
-    return Conic(vt[-1] / col)
+    return Conic(vt[-1], chart)
 
 
 def conic_classify(c: Conic) -> ConicType:
-    A, B, C = c.A, c.B, c.C
+    A, B, C = c.local[:3]
     disc = B * B - 4 * A * C
     eps = 1e-9 * (A * A + B * B + C * C)
-    q = c.matrix()
-    s = np.linalg.svd(q, compute_uv=False)
-    if s[2] <= _RANK_TOL * s[0]:
+    if _rank_deficient(np.linalg.svd(c.local_matrix(), compute_uv=False)):
         return ConicType.DEGENERATE
     if disc < -eps:
         return ConicType.ELLIPSE
@@ -184,19 +198,21 @@ def conic_classify(c: Conic) -> ConicType:
 
 
 def conic_transform(c: Conic, m: ProjectiveMap) -> Conic:
-    """Image conic under m: every point p on c maps to m(p) on the result."""
-    mi = np.linalg.inv(m.m)
-    return Conic.from_matrix(mi.T @ c.matrix() @ mi)
+    """Image conic under m, in the world chart: p on c maps to m(p) on it."""
+    mi = np.linalg.inv(m.m @ c.chart.m)
+    return Conic.from_matrix(mi.T @ c.local_matrix() @ mi)
 
 
 def conic_residual(c: Conic, p: complex) -> float:
-    """|conic(p)| normalized by the gradient magnitude at p."""
-    A, B, C, D, E, F = c.coeffs
-    x, y = p.real, p.imag
+    """|conic(w)| over the gradient magnitude at w, the chart point of p,
+    times the chart scale: a world distance to first order."""
+    A, B, C, D, E, F = c.local
+    w = c.chart.local(p)
+    x, y = w.real, w.imag
     val = A * x * x + B * x * y + C * y * y + D * x + E * y + F
     gx = 2 * A * x + B * y + D
     gy = B * x + 2 * C * y + E
-    return abs(val) / (np.hypot(gx, gy) + 1e-300)
+    return c.chart.scale * abs(val) / (np.hypot(gx, gy) + 1e-300)
 
 
 def _adjugate(q: np.ndarray) -> np.ndarray:
@@ -204,75 +220,54 @@ def _adjugate(q: np.ndarray) -> np.ndarray:
 
 
 def tangents_from_point(c: Conic, o: complex) -> list[Line]:
-    """Tangent lines to c through o (0, 1, or 2 lines).
-
-    Lines l through o satisfying the dual tangency condition l^T Q* l = 0.
-    """
-    q = c.matrix()
-    s = np.linalg.svd(q, compute_uv=False)
-    if s[2] <= _RANK_TOL * s[0]:
+    """Tangent lines to c through o, solved in c's chart: the lines
+    s l1 + t l2 through o (l1 = [1, 0, -ox], l2 = [0, 1, -oy]) with
+    l^T Q* l = 0, the isotropic (s, t) of a 2x2 form; one when it is
+    singular (o on c), none when it is definite (o inside c)."""
+    if conic_classify(c) is ConicType.DEGENERATE:
         raise DegenerateConicError("tangents from point need a nondegenerate conic")
-    qa = _adjugate(q)
-    # Lines through o: span of l1 = [1, 0, -ox] and l2 = [0, 1, -oy].
-    l1 = np.array([1.0, 0.0, -o.real])
-    l2 = np.array([0.0, 1.0, -o.imag])
-    alpha = l1 @ qa @ l1
-    beta = l1 @ qa @ l2
-    gamma = l2 @ qa @ l2
-    scale = max(abs(alpha), abs(beta), abs(gamma))
-    if scale == 0.0:
-        raise DegenerateConicError("dual form vanished identically")
-    # Homogeneous quadratic alpha s^2 + 2 beta s t + gamma t^2 = 0 in (s : t).
-    disc = beta * beta - alpha * gamma
-    tol = 1e-12 * scale * scale
-    if abs(disc) <= tol:
-        # o on the conic: one tangent, the double root direction.
-        if abs(alpha) >= abs(gamma):
-            return [Line(*(-beta * l1 + alpha * l2))]
-        return [Line(*(gamma * l1 - beta * l2))]
-    if disc < 0:
+    w = c.chart.local(o)
+    pencil = np.array([[1.0, 0.0, -w.real], [0.0, 1.0, -w.imag]])
+    mu, e = np.linalg.eigh(pencil @ _adjugate(c.local_matrix()) @ pencil.T)
+    if abs(mu[0] * mu[1]) <= 1e-12 * np.max(np.abs(mu)) ** 2:
+        st = [e[:, np.argmin(np.abs(mu))]]
+    elif mu[0] * mu[1] > 0:
         return []
-    rt = np.sqrt(disc)
-    if abs(alpha) >= abs(gamma):
-        return [Line(*(((-beta + sgn * rt) / alpha) * l1 + l2)) for sgn in (1, -1)]
-    return [Line(*(l1 + ((-beta + sgn * rt) / gamma) * l2)) for sgn in (1, -1)]
+    else:
+        st = [np.sqrt(mu[1]) * e[:, 0] + sgn * np.sqrt(-mu[0]) * e[:, 1]
+              for sgn in (1, -1)]
+    return [Line(*np.linalg.solve(c.chart.m.T, v @ pencil)) for v in st]
 
 
 def tangency_residual(c: Conic, line: Line) -> float:
-    qa = _adjugate(c.matrix())
-    lv = line.vector()
+    """Dual-conic defect of the line, both taken into c's chart."""
+    qa = _adjugate(c.local_matrix())
+    lv = c.chart.m.T @ np.array([line.a, line.b, line.c])
     return abs(lv @ qa @ lv) / (np.linalg.norm(qa) * (lv @ lv))
 
 
 def conic_params(c: Conic):
     """Center, semi-axes (major first) and major-axis angle of a central conic."""
-    q = c.matrix()
+    q = c.local_matrix()
     a33 = q[:2, :2]
     if abs(np.linalg.det(a33)) <= 1e-14 * np.linalg.norm(a33) ** 2:
         raise DegenerateConicError("conic has no finite center")
     cx, cy = np.linalg.solve(a33, [-q[0, 2], -q[1, 2]])
     evals, evecs = np.linalg.eigh(a33)
-    k = -np.linalg.det(q) / np.linalg.det(a33)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        semi = np.sqrt(np.abs(k / evals))
-    order = np.argsort(-semi)
-    semi = semi[order]
-    axis = evecs[:, order[0]]
-    angle = float(np.arctan2(axis[1], axis[0])) % np.pi
-    return complex(cx, cy), float(semi[0]), float(semi[1]), angle
+    semi = c.chart.scale * np.sqrt(np.abs(np.linalg.det(q) / np.linalg.det(a33)
+                                          / evals))
+    i = int(np.argmax(semi))
+    angle = float(np.arctan2(evecs[1, i], evecs[0, i])) % np.pi
+    return (c.chart.center + c.chart.scale * complex(cx, cy), float(semi[i]),
+            float(semi[1 - i]), angle)
 
 
 def conic_from_ellipse(center: complex, semi_major: float, semi_minor: float,
                        angle: float) -> Conic:
-    """Implicit conic of the ellipse with the given center/axes/tilt."""
+    """Implicit conic of the ellipse with the given center/axes/tilt, in the
+    chart centred on it and scaled by its semi-major axis."""
     ct, st = np.cos(angle), np.sin(angle)
     r = np.array([[ct, -st], [st, ct]])
-    d = np.diag([1.0 / semi_major ** 2, 1.0 / semi_minor ** 2])
-    a33 = r @ d @ r.T
-    q = np.zeros((3, 3))
-    q[:2, :2] = a33
-    cv = np.array([center.real, center.imag])
-    q[:2, 2] = -a33 @ cv
-    q[2, :2] = q[:2, 2]
-    q[2, 2] = cv @ a33 @ cv - 1.0
-    return Conic.from_matrix(q)
+    q = np.diag([0.0, 0.0, -1.0])
+    q[:2, :2] = r @ np.diag([1.0, (semi_major / semi_minor) ** 2]) @ r.T
+    return Conic.from_matrix(q, Chart(center, semi_major))

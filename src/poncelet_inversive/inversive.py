@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import Conic, ProjectiveMap, conic_transform
+from .conics import Chart, Conic, ProjectiveMap, conic_transform
 from .errors import (
     CenterSingularity,
     CollinearVertices,
@@ -148,26 +148,32 @@ def inversive_circumcenter_closed(coeffs: InversiveCoefficients, theta):
 
 
 def projective_map_of_locus(coeffs: InversiveCoefficients):
-    """Projective map sending lam (on the unit circle) to the locus chart.
-
-    Returns (m, post): the locus of X3' is the unit circle pushed through
-    m, then through the affine post-map z -> z0 + r^2 z.
+    """(m, chart): the X3' locus is the unit circle pushed through m into
+    its chart, which `chart` places in the world.  With (X3' - z0) / r^2 =
+    N(lam) / D(lam), the chart is centred on the X3' of the disk point
+    lam0 = sign(b0) conj(b2) / (|b0| + 2 |b2|), where |D| >= half its scale
+    even if b0 = 0; there N - D N(lam0) / D(lam0) = l2 lam + l1 conj(lam) + l0
+    vanishes, and the scale is r^2 (|l2| + |l1|) / |D(lam0)|.  A point locus
+    (a = b, l2 = l1 = 0) raises SingularMap.
     """
-    k1 = coeffs.a2 / coeffs.r2
-    k2 = coeffs.a1 / coeffs.r2
-    k3 = coeffs.a0 / coeffs.r2
-    row1 = [k1.real + k2.real, k2.imag - k1.imag, k3.real]
-    row2 = [k1.imag + k2.imag, k1.real - k2.real, k3.imag]
-    row3 = [2 * coeffs.b2.real, -2 * coeffs.b2.imag, coeffs.b0]
-    m = ProjectiveMap(np.array([row1, row2, row3]))
-    post = ProjectiveMap.affine(coeffs.r2, coeffs.z0)
-    return m, post
+    co = coeffs
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN is singular
+        lam0 = np.sign(co.b0 or 1.0) * co.b1 / co.denominator_scale()
+        d0 = co.denominator(lam0)
+        u = co.numerator(lam0) / (co.r2 * d0)
+        l2, l1, l0 = (np.array([co.a2, co.a1, co.a0]) / co.r2
+                      - u * np.array([co.b2, co.b1, co.b0]))
+        spread = abs(l2) + abs(l1)
+        m = np.array([[l2.real + l1.real, l1.imag - l2.imag, l0.real],
+                      [l2.imag + l1.imag, l2.real - l1.real, l0.imag]]) / spread
+        m = np.vstack([m, [2 * co.b2.real, -2 * co.b2.imag, co.b0] / abs(d0)])
+    return ProjectiveMap(m), Chart(co.z0 + co.r2 * u, co.r2 * spread / abs(d0))
 
 
 def exact_locus_conic(coeffs: InversiveCoefficients) -> Conic:
-    """Exact conic swept by the inversive circumcenter."""
-    m, post = projective_map_of_locus(coeffs)
-    return conic_transform(Conic.unit_circle(), post.compose(m))
+    """Exact conic swept by the inversive circumcenter, in its chart."""
+    m, chart = projective_map_of_locus(coeffs)
+    return Conic(conic_transform(Conic.unit_circle(), m).local, chart)
 
 
 def pencil_membership(c1: Circle, c2: Circle, c3: Circle) -> float:

@@ -26,6 +26,7 @@ from poncelet_inversive.cli import (
     main,
     run_verify,
 )
+from poncelet_inversive.errors import SingularMap
 
 from conftest import EXTERIOR_K, REF_A, REF_B, REF_F, REF_G, REF_K
 
@@ -269,6 +270,52 @@ class TestCommands:
         assert main(["verify", "--config", path,
                      "--out", str(tmp_path / "out")]) == 0
         assert "p5_constant_power: PASS" in capsys.readouterr().out
+
+
+def _near_circular_config(tmp_path, ratio) -> str:
+    """The reference foci with a = 2, b = 2 ratio, inverted in
+    (3.5 + 0.5i, 0.7): O outside every circumcircle, and the X3' locus an
+    ellipse of spread about 0.07 (1 - ratio) some 3.3 from the origin."""
+    raw = {"family": {"f": [REF_F.real, REF_F.imag],
+                      "g": [REF_G.real, REF_G.imag], "a": 2.0, "b": 2.0 * ratio},
+           "inversion": {"center": [3.5, 0.5], "radius": 0.7}}
+    path = tmp_path / "near-circular.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestNearCircular:
+    @pytest.mark.parametrize("ratio", [0.995, 0.999, 0.9999, 0.99999])
+    def test_verify_passes(self, tmp_path, capsys, ratio):
+        path = _near_circular_config(tmp_path, ratio)
+        assert main(["verify", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratio", [0.995, 0.999, 0.9999, 0.99999,
+                                       0.999999])
+    def test_classify_reads_an_ellipse(self, tmp_path, capsys, ratio):
+        path = _near_circular_config(tmp_path, ratio)
+        assert main(["classify", "--config", path]) == 0
+        assert capsys.readouterr().out.startswith("O=Exterior locus=Ellipse ")
+
+    def test_classify_at_a_equals_b_reads_a_point(self, tmp_path, capsys):
+        # The Chapple config of TestConfig.test_inner_circle_form: the
+        # circumcircle is fixed, so X3' does not move.
+        center = 0.2 + 0.1j
+        raw = {"family": {"a": 1.0, "b": 1.0,
+                          "inner_circle_center": [center.real, center.imag],
+                          "inner_circle_radius": (1 - abs(center) ** 2) / 2},
+               "inversion": {"center": [2.0, 0.0], "radius": 0.5}}
+        path = tmp_path / "chapple.json"
+        path.write_text(json.dumps(raw))
+        assert main(["classify", "--config", str(path)]) == 0
+        fields = dict(item.split("=") for item in
+                      capsys.readouterr().out.split())
+        assert (fields["O"], fields["locus"]) == ("Exterior", "Point")
+        cfg = load_config(str(path))
+        with pytest.raises(SingularMap):
+            exact_locus_conic(inversive_coeffs(cfg.fam, cfg.inversion))
 
 
 def _inner_circle_config(tmp_path, a, b, center) -> str:

@@ -103,6 +103,45 @@ class TestFit:
             conic_fit([1j, 1j, 2j, 3 + 0j, 1 + 1j])
 
 
+class TestChart:
+    # An ellipse with semi-axes 2e-6 and 1e-6 centred at 3 + 1i: in world
+    # coefficients its x^2 and constant terms differ by 13 decades.
+    CENTER, MAJOR, MINOR, ANGLE = 3 + 1j, 2e-6, 1e-6, 0.4
+
+    def _points(self, rng, noise=0.0):
+        th = rng.uniform(0, 2 * np.pi, 200)
+        w = self.MAJOR * np.cos(th) + 1j * self.MINOR * np.sin(th)
+        w *= 1 + noise * rng.standard_normal(200)
+        return self.CENTER + w * np.exp(1j * self.ANGLE)
+
+    def test_small_far_ellipse_fit_and_classify(self, rng):
+        target = conic_from_ellipse(self.CENTER, self.MAJOR, self.MINOR,
+                                    self.ANGLE)
+        fitted = conic_fit(self._points(rng))
+        assert target.distance(fitted) <= 1e-10
+        assert fitted.distance(target) <= 1e-10
+        assert conic_classify(fitted) == ConicType.ELLIPSE
+        center, a, b, ang = conic_params(fitted)
+        assert abs(center - self.CENTER) <= 1e-10 * self.MAJOR
+        assert (a, b) == (pytest.approx(self.MAJOR, rel=1e-10),
+                          pytest.approx(self.MINOR, rel=1e-10))
+        assert ang == pytest.approx(self.ANGLE, abs=1e-10)
+
+    def test_small_far_ellipse_perturbation_is_seen(self, rng):
+        # A 1e-6 relative perturbation in the chart reads far above the
+        # 1e-8 bound of verify's exact_vs_fitted_conic.
+        target = conic_from_ellipse(self.CENTER, self.MAJOR, self.MINOR,
+                                    self.ANGLE)
+        fitted = conic_fit(self._points(rng, noise=1e-6))
+        assert fitted.distance(target) > 1e-8
+
+    def test_distance_is_frame_free(self):
+        # The same conic in two charts is at distance 0 from itself.
+        c = conic_from_ellipse(0.5 - 2j, 3.0, 1.0, 1.2)
+        world = Conic(c.coeffs)
+        assert world.distance(c) < 1e-14 and c.distance(world) < 1e-14
+
+
 class TestProjectiveMap:
     def test_identity(self):
         assert ProjectiveMap().apply(2 - 3j) == 2 - 3j

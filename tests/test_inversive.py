@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from poncelet_inversive import (
     sweep,
     triangle_at,
 )
-from poncelet_inversive.conics import conic_residual
+from poncelet_inversive.conics import ConicType, conic_classify, conic_residual
 from poncelet_inversive.errors import (
     CenterSingularity,
     CollinearVertices,
@@ -36,7 +37,7 @@ from poncelet_inversive.inversive import (
     collinearity_and_ratio,
 )
 
-from conftest import REF_K, random_circle, random_family
+from conftest import REF_F, REF_G, REF_K, random_circle, random_family
 
 
 class TestInversion:
@@ -242,6 +243,52 @@ class TestProjectiveLocus:
             except OnCircumcircle:
                 continue
             assert conic_residual(conic, x3p) < 1e-9
+
+
+    def test_chart_is_finite_where_b0_vanishes(self, fam):
+        # b0 = a b M3(O) is 0 on the circle |O - c0|^2 = |c0|^2 - M3(0)
+        # about the mean circumcentre; O there is crossed, and the locus
+        # is a hyperbola whose chart must not run off with 1 / b0.
+        c0, _, _ = circumcenter_affine_in_lambda(fam)
+        p, q = fam.p, fam.q
+        m3_origin = 2 * p * q * (fam.f * fam.g).real - p * p - q * q
+        rho = np.sqrt(abs(c0) ** 2 - m3_origin)
+        for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
+            k = Circle(c0 + rho * np.exp(1j * phi), REF_K.radius)
+            co = inversive_coeffs(fam, k)
+            assert abs(co.b0) <= 1e-12 * co.denominator_scale()
+            conic = exact_locus_conic(co)
+            assert 0 < conic.chart.scale < 10 and abs(conic.chart.center) < 10
+            assert conic_classify(conic) == ConicType.HYPERBOLA
+            x3p = sweep(fam, k, 256).valid("x3p")
+            assert np.max(conic_residual(conic, x3p)) < 1e-9
+
+    def test_chart_residual_matches_mpmath_oracle(self):
+        # Near-circular family (b/a = 0.9999): the locus has spread 7e-6 at
+        # 3.3 from the origin.  The exact conic of the same coefficients,
+        # in 50 digits, gives each swept X3' its residual; the chart
+        # residual matches it to round-off.
+        fam = PonceletFamily.from_axes(REF_F, REF_G, 2.0, 1.9998)
+        sw = sweep(fam, Circle(3.5 + 0.5j, 0.7), 720)
+        co, pts = sw.coeffs, sw.valid("x3p")
+        with mp.workdps(50):
+            k1, k2, k3 = (mp.mpc(x) / co.r2 for x in (co.a2, co.a1, co.a0))
+            m = mp.matrix([[k1.real + k2.real, k2.imag - k1.imag, k3.real],
+                           [k1.imag + k2.imag, k1.real - k2.real, k3.imag],
+                           [2 * co.b2.real, -2 * co.b2.imag, co.b0]])
+            post = mp.matrix([[co.r2, 0, co.z0.real], [0, co.r2, co.z0.imag],
+                              [0, 0, 1]])
+            inv = (post * m) ** -1
+            q = inv.T * mp.diag([1, 1, -1]) * inv
+            oracle = []
+            for z in pts:
+                v = mp.matrix([z.real, z.imag, 1])
+                g = q * v
+                oracle.append(float(abs((v.T * g)[0])
+                                    / (2 * mp.sqrt(g[0] ** 2 + g[1] ** 2))))
+        chart = conic_residual(sw.exact_conic, pts)
+        assert np.max(np.abs(chart - np.array(oracle))) <= 1e-15
+        assert np.max(chart) < 1e-9
 
 
 class TestPencilAndCollinearity:
