@@ -26,6 +26,7 @@ from .inversive import (
     InversiveCoefficients,
     barycenter,
     circumcenter,
+    circumcenter_locus_conic,
     circumcircle,
     collinearity_and_ratio,
     euler_circle,

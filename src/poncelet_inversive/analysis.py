@@ -29,6 +29,7 @@ from .inversive import (
     Circle,
     InversiveCoefficients,
     barycenter,
+    circumcenter_locus_conic,
     circumcircle,
     euler_circle,
     exact_locus_conic,
@@ -214,8 +215,9 @@ class SimilitudeReport:
 
 def similitude_check(sw: SweepResult) -> SimilitudeReport:
     """Tangents from O to the X3 locus must also touch the X3' locus and
-    graze the inv(X3) point cloud."""
-    l3 = conic_fit(sw.valid("x3"))
+    graze the inv(X3) point cloud.  Both loci are exact; the swept cloud
+    is the sampled tie."""
+    l3 = circumcenter_locus_conic(sw.family)
     lines = tangents_from_point(l3, sw.inversion.center)
     if len(lines) < 2:
         return SimilitudeReport(status="no-real-tangents")

@@ -18,13 +18,14 @@ import numpy as np
 from . import analysis, conics, family, inversive
 from .power import p3_point, p3_preimage, p5_point
 from .power import power as power_of_point
-from .errors import FamilyError, GeometryError
+from .errors import FamilyError, GeometryError, SingularMap
 
 CSV_HEADER = ("theta,x3_re,x3_im,x3p_re,x3p_im,invx3_re,invx3_im,"
               "x2p_re,x2p_im,x4p_re,x4p_im,x5p_re,x5p_im,power_O,skipped")
 _CSV_ROW = ",".join(["%.17g"] * 14) + ",%d\n"
 _CSV_BLOCK = 1024
 _LOCUS_SAMPLES = 512
+_POINT_LOCUS = "(X3' locus is a point: a = b)"
 
 
 class ConfigError(Exception):
@@ -258,17 +259,23 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     proj = analysis.projectivity_residual(sw)
     all_ok &= _check(lines, "projectivity_hypotheses", proj < 1e-10, proj)
 
-    # Exact vs fitted conic, sweep residuals.
-    exact = sw.exact_conic
-    dist = conics.conic_fit(sw.valid("x3p")).distance(exact)  # fit's chart
-    all_ok &= _check(lines, "exact_vs_fitted_conic", dist < 1e-8, dist)
-    resid = np.max(conics.conic_residual(exact, sw.valid("x3p")))
-    all_ok &= _check(lines, "sweep_on_exact_conic", resid < 1e-9, resid)
-
-    # Conic type vs O location.
-    rep = analysis.verify_conic_type(sw)
-    all_ok &= _check(lines, "conic_type_law", rep.consistent,
-                     note=_location_note(rep.o_location, rep.conic_type))
+    # Exact vs fitted conic, sweep residuals, conic type vs O location.
+    # At a = b the circumcircle is fixed and X3' does not move: no conic.
+    try:
+        exact = sw.exact_conic
+    except SingularMap:
+        exact = None
+        for name in ("exact_vs_fitted_conic", "sweep_on_exact_conic",
+                     "conic_type_law"):
+            _skip(lines, name, _POINT_LOCUS)
+    else:
+        dist = conics.conic_fit(sw.valid("x3p")).distance(exact)  # fit's chart
+        all_ok &= _check(lines, "exact_vs_fitted_conic", dist < 1e-8, dist)
+        resid = np.max(conics.conic_residual(exact, sw.valid("x3p")))
+        all_ok &= _check(lines, "sweep_on_exact_conic", resid < 1e-9, resid)
+        rep = analysis.verify_conic_type(sw)
+        all_ok &= _check(lines, "conic_type_law", rep.consistent,
+                         note=_location_note(rep.o_location, rep.conic_type))
 
     # Collinearity, ratio, pencil, on the unskipped samples (NaN compares
     # False) where O is neither X3 nor X3' (collinearity_and_ratio
@@ -300,8 +307,10 @@ def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
     all_ok &= _check(lines, "p3_interiority", margin > 1e-12, margin)
 
     # Similitude tangency.
-    sim = analysis.similitude_check(sw)
-    if sim.status == "no-real-tangents":
+    sim = analysis.similitude_check(sw) if exact is not None else None
+    if sim is None:
+        _skip(lines, "similitude_tangency", _POINT_LOCUS)
+    elif sim.status == "no-real-tangents":
         _skip(lines, "similitude_tangency", "(O interior to the X3 locus)")
     else:
         ok = (max(sim.locus_residuals) < 1e-7

@@ -18,7 +18,8 @@ class DegenerateConicError(GeometryError):
 
 
 class RootToleranceExceeded(GeometryError):
-    """Cubic roots strayed too far from the unit circle."""
+    """Unit-circle vertices from the phase inversion do not solve the
+    family cubic (cubic-residual guard)."""
 
 
 class FamilyError(GeometryError):

@@ -7,7 +7,11 @@ angle theta the three triangle vertices on the unit circle are the roots of
 
     z^3 - s1 z^2 + s2 z - s3 = 0,
     s1 = f + g + lam conj(f) conj(g),  s2 = f g + lam (conj(f) + conj(g)),
-    s3 = lam = exp(i theta).
+    s3 = lam = exp(i theta),
+
+that is, of lam = B(z) = z (z - f)(z - g) / ((1 - conj(f) z)(1 - conj(g) z)),
+a degree-3 Blaschke product.  triangle_at finds them by inverting the
+phase of B on the unit circle; no eigenvalue problem is solved.
 """
 
 from __future__ import annotations
@@ -91,36 +95,93 @@ class PonceletFamily:
         return self.p * z + self.q * np.conj(z)
 
 
+def _phase_parts(fam: PonceletFamily):
+    """t -> (cos t, sin t, Re ab, Im ab, phi'(t)) for the factors
+    a = 1 - f e^{-it} and b = 1 - g e^{-it} of the phase
+    phi(t) = 3t + 2 arg(a b).
+
+    Re a = (1 - |f|) + |f| |e^{it} - f/|f||^2 / 2 and Im a =
+    Re f sin t - Im f cos t are free of cancellation, with 1 - |f| from
+    the exact 1 - |f|^2, so arg a stays accurate where |a| is small (f
+    near the unit circle).  Both arguments lie in (-pi/2, pi/2), so
+    2 arg a + 2 arg b = 2 arg(a b).  phi' = 1 + (1 - |f|^2)/|a|^2 + (same, g).
+    """
+    consts = []
+    for w in (complex(fam.f), complex(fam.g)):
+        rho = abs(w)
+        (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (w.real, w.imag))
+        den = (xd * yd) ** 2  # 1 - |w|^2 exactly, in integers; rounded once
+        c = (den - (xn * yd) ** 2 - (yn * xd) ** 2) / den
+        unit = w / rho if rho else 1.0
+        consts.append((w, unit, 0.5 * rho, c / (1 + rho), c))
+
+    def parts(t):
+        x, y = np.cos(t), np.sin(t)
+        ab_re, ab_im, dphi = 1.0, 0.0, 1.0
+        for w, unit, half_rho, deficit, c in consts:
+            dx, dy = x - unit.real, y - unit.imag
+            re = deficit + half_rho * (dx * dx + dy * dy)
+            im = w.real * y - w.imag * x
+            ab_re, ab_im = ab_re * re - ab_im * im, ab_re * im + ab_im * re
+            dphi = dphi + c / (re * re + im * im)
+        return x, y, ab_re, ab_im, dphi
+
+    return parts
+
+
 def triangle_at(fam: PonceletFamily, theta) -> Triangle:
     """Unit-circle-chart Poncelet triangle at parameter theta.
 
     theta may be a scalar or an array; each vertex then has theta's shape.
-    Roots are eigenvalues of the stacked companion matrices (the matrix
-    np.roots builds) with one Newton polish step, then projected radially
-    onto the unit circle and sorted by argument.
+    On z = e^{it} the phase of B, phi(t) = 3t + 2 arg(1 - f e^{-it})
+    + 2 arg(1 - g e^{-it}), increases strictly (phi' = 1 + P_f + P_g,
+    Poisson kernels) by 6 pi per turn, so the vertices are the t in
+    [0, 2 pi) where phi reaches the three targets theta + 2 pi k in
+    [phi(0), phi(0) + 6 pi).  Each starts from a secant on a 513-point
+    table of phi and runs a bracketed Newton iteration until
+    |phi - target| <= 1e-9 (or t is within 4e-15, where phi is too steep
+    for double t to reach that), then takes one step on the wrapped phase
+    arg(B(e^{it}) conj(lam)), which is free of the rounding of the large
+    phase values.  The vertices e^{it} lie on the unit circle and come in
+    argument order.  Raises RootToleranceExceeded when they do not solve
+    the cubic (the phase is not monotone: a focus outside the disk).
     """
-    lam = np.exp(1j * np.asarray(theta, dtype=float))
-    s1 = fam.f + fam.g + lam * np.conj(fam.f) * np.conj(fam.g)
-    s2 = fam.f * fam.g + lam * (np.conj(fam.f) + np.conj(fam.g))
-    s3 = lam
-    companion = np.zeros(lam.shape + (3, 3), dtype=complex)
-    companion[..., 0, :] = np.stack([s1, -s2, s3], axis=-1)
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    s1, s2, s3 = s1[..., None], s2[..., None], s3[..., None]
-    # Newton polish against the monic cubic.
-    pval = ((roots - s1) * roots + s2) * roots - s3
-    dval = (3.0 * roots - 2.0 * s1) * roots + s2
-    safe = np.abs(dval) > 1e-14
-    roots[safe] -= pval[safe] / dval[safe]
-    drift = np.abs(np.abs(roots) - 1.0)
-    if np.max(drift) > 1e-6:
+    theta = np.asarray(theta, dtype=float)
+    parts = _phase_parts(fam)
+    grid = np.linspace(0.0, 2 * np.pi, 513)
+    _, _, ab_re, ab_im, _ = parts(grid)
+    table = 3 * grid + 2 * np.arctan2(ab_im, ab_re)
+    th = theta.ravel()
+    turns = np.ceil((table[0] - th) / (2 * np.pi)) + np.arange(3)[:, None]
+    target = (th + 2 * np.pi * turns).ravel()  # vertex-major
+    hi_idx = np.clip(np.searchsorted(table, target), 1, len(grid) - 1)
+    lo, hi = grid[hi_idx - 1], grid[hi_idx]
+    t = lo + (target - table[hi_idx - 1]) * (hi - lo) \
+        / (table[hi_idx] - table[hi_idx - 1])
+    for step in range(64):  # bisection alone: ~45 halvings of a table step
+        x, y, re, im, dphi = parts(t)
+        r = 3 * t + 2 * np.arctan2(im, re) - target
+        moving = np.abs(r) > 1e-9 + 4e-15 * dphi
+        if step == 63 or not moving.any():
+            break
+        lo = np.where(moving & (r < 0), t, lo)
+        hi = np.where(moving & (r > 0), t, hi)
+        newton = t - r / dphi
+        inside = (lo <= newton) & (newton <= hi)
+        t = np.where(moving, np.where(inside, newton, 0.5 * (lo + hi)), t)
+    # One step on the wrapped phase arg(B(e^{it}) conj(lam)).
+    lam = np.exp(1j * th)
+    z, ab = x + 1j * y, re + 1j * im
+    t = t - np.angle(z * z * z * np.tile(lam.conj(), 3) * ab * ab) / dphi
+    z = np.exp(1j * t).reshape(3, -1)
+    f, g = fam.f, fam.g
+    s1 = f + g + lam * np.conj(f * g)
+    s2 = f * g + lam * np.conj(f + g)
+    resid = np.abs(((z - s1) * z + s2) * z - lam)
+    if np.any(resid > 1e-8):
         raise RootToleranceExceeded(
-            f"root left the unit circle by {np.max(drift):.3e}")
-    roots = roots / np.abs(roots)
-    order = np.argsort(np.angle(roots) % (2 * np.pi), axis=-1)
-    roots = np.take_along_axis(roots, order, axis=-1)
-    return Triangle(*np.moveaxis(roots, -1, 0))
+            f"unit-circle vertices miss the cubic by {np.max(resid):.3e}")
+    return Triangle(*z.reshape((3,) + theta.shape))
 
 
 def affine_image(fam: PonceletFamily, t: Triangle) -> Triangle:

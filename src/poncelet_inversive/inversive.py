@@ -164,16 +164,37 @@ def projective_map_of_locus(coeffs: InversiveCoefficients):
         l2, l1, l0 = (np.array([co.a2, co.a1, co.a0]) / co.r2
                       - u * np.array([co.b2, co.b1, co.b0]))
         spread = abs(l2) + abs(l1)
-        m = np.array([[l2.real + l1.real, l1.imag - l2.imag, l0.real],
-                      [l2.imag + l1.imag, l2.real - l1.real, l0.imag]]) / spread
-        m = np.vstack([m, [2 * co.b2.real, -2 * co.b2.imag, co.b0] / abs(d0)])
+        m = np.vstack([_affine_rows(l2, l1, l0) / spread,
+                       [2 * co.b2.real, -2 * co.b2.imag, co.b0] / abs(d0)])
     return ProjectiveMap(m), Chart(co.z0 + co.r2 * u, co.r2 * spread / abs(d0))
+
+
+def _affine_rows(l2: complex, l1: complex, l0: complex) -> np.ndarray:
+    """lam -> l2 lam + l1 conj(lam) + l0 as two rows on [Re lam, Im lam, 1]."""
+    return np.array([[l2.real + l1.real, l1.imag - l2.imag, l0.real],
+                     [l2.imag + l1.imag, l2.real - l1.real, l0.imag]])
+
+
+def _unit_circle_image(m: ProjectiveMap, chart: Chart) -> Conic:
+    return Conic(conic_transform(Conic.unit_circle(), m).local, chart)
 
 
 def exact_locus_conic(coeffs: InversiveCoefficients) -> Conic:
     """Exact conic swept by the inversive circumcenter, in its chart."""
-    m, chart = projective_map_of_locus(coeffs)
-    return Conic(conic_transform(Conic.unit_circle(), m).local, chart)
+    return _unit_circle_image(*projective_map_of_locus(coeffs))
+
+
+def circumcenter_locus_conic(fam: PonceletFamily) -> Conic:
+    """Exact ellipse swept by the world circumcenter: X3 = c2 lam +
+    c1 conj(lam) + c0 is the unit circle under an affine map, taken into
+    the chart (c0, |c2| + |c1|) as projective_map_of_locus does with
+    l2 = c2, l1 = c1.  A point locus (a = b, c2 = c1 = 0) raises
+    SingularMap."""
+    c0, c1, c2 = circumcenter_affine_in_lambda(fam)
+    spread = abs(c2) + abs(c1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN is singular
+        m = np.vstack([_affine_rows(c2, c1, 0j) / spread, [0.0, 0.0, 1.0]])
+    return _unit_circle_image(ProjectiveMap(m), Chart(c0, spread))
 
 
 def pencil_membership(c1: Circle, c2: Circle, c3: Circle) -> float:

@@ -6,6 +6,7 @@ from poncelet_inversive import (
     ConicType,
     OLocationKind,
     PonceletFamily,
+    Triangle,
     affine_image,
     circle_fit,
     classify_O,
@@ -24,7 +25,8 @@ from poncelet_inversive import (
 )
 from poncelet_inversive import analysis
 
-from conftest import EXTERIOR_K, REF_A, REF_K, random_circle, random_family
+from conftest import (EXTERIOR_K, REF_A, REF_F, REF_G, REF_K, random_circle,
+                      random_family)
 
 
 class TestSweep:
@@ -198,6 +200,30 @@ class TestSimilitude:
         assert max(rep.locus_residuals) < 1e-7
         assert all(d < 1e-4 * rep.scale for d in rep.cloud_distances)
         assert all(rep.cloud_one_sided)
+
+    def test_locus_residuals_ignore_vertex_rounding(self, monkeypatch):
+        # Near-circular family (b/a = 0.99999): the X3 locus spans ~1e-5, so
+        # a conic fitted to the swept X3 moved the tangents with the last
+        # bits of the vertices.  Both loci are exact now; rotating every
+        # vertex by up to 3e-16 rad leaves the residuals bit for bit.
+        fam = PonceletFamily.from_axes(REF_F, REF_G, 2.0, 2.0 * 0.99999)
+        k = Circle(3.5 + 0.5j, 0.7)
+        base = similitude_check(sweep(fam, k, 720))
+        assert base.status == "ok" and max(base.locus_residuals) < 1e-7
+        rng = np.random.default_rng(12)
+        solve = analysis.triangle_at
+
+        def jittered(f, theta):
+            return Triangle(*(v * np.exp(1j * rng.uniform(-3e-16, 3e-16,
+                                                          np.shape(v)))
+                              for v in solve(f, theta)))
+
+        monkeypatch.setattr(analysis, "triangle_at", jittered)
+        for _ in range(4):
+            rep = similitude_check(sweep(fam, k, 720))
+            assert rep.locus_residuals == base.locus_residuals
+            assert all(d < 1e-4 * rep.scale for d in rep.cloud_distances)
+            assert all(rep.cloud_one_sided)
 
     def test_o_inside_locus_has_no_tangents(self, fam):
         # Center O on the X3 locus centroid: no real tangents exist.

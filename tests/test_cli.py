@@ -17,6 +17,7 @@ from poncelet_inversive import (
     exact_locus_conic,
     inversive_coeffs,
     p3_point,
+    p5_point,
 )
 from poncelet_inversive import analysis, cli, family, inversive
 from poncelet_inversive.cli import (
@@ -37,6 +38,15 @@ REF_CONFIG = {
                   "radius": REF_K.radius},
     "samples": 256,
 }
+
+
+VERIFY_LINES = [
+    "closed_form_vs_direct", "projectivity_hypotheses",
+    "exact_vs_fitted_conic", "sweep_on_exact_conic", "conic_type_law",
+    "collinearity", "distance_ratio", "pencil_membership",
+    "p3_constant_power", "p5_constant_power", "p3_interiority",
+    "similitude_tangency", "homothety", "poncelet_closure",
+    "nonconic_evidence"]
 
 
 @pytest.fixture
@@ -224,13 +234,7 @@ class TestCommands:
         # key=value tokens ending in the signed margin.
         main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":", 1)[0] for line in lines] == [
-            "closed_form_vs_direct", "projectivity_hypotheses",
-            "exact_vs_fitted_conic", "sweep_on_exact_conic", "conic_type_law",
-            "collinearity", "distance_ratio", "pencil_membership",
-            "p3_constant_power", "p5_constant_power", "p3_interiority",
-            "similitude_tangency", "homothety", "poncelet_closure",
-            "nonconic_evidence"]
+        assert [line.split(":", 1)[0] for line in lines] == VERIFY_LINES
         assert re.fullmatch(
             r"conic_type_law: PASS O=Interior locus=Hyperbola crossings=6 "
             r"margin=-\d\.\d{3}e[+-]\d{2}", lines[4])
@@ -300,22 +304,48 @@ class TestNearCircular:
         assert capsys.readouterr().out.startswith("O=Exterior locus=Ellipse ")
 
     def test_classify_at_a_equals_b_reads_a_point(self, tmp_path, capsys):
-        # The Chapple config of TestConfig.test_inner_circle_form: the
-        # circumcircle is fixed, so X3' does not move.
-        center = 0.2 + 0.1j
-        raw = {"family": {"a": 1.0, "b": 1.0,
-                          "inner_circle_center": [center.real, center.imag],
-                          "inner_circle_radius": (1 - abs(center) ** 2) / 2},
-               "inversion": {"center": [2.0, 0.0], "radius": 0.5}}
-        path = tmp_path / "chapple.json"
-        path.write_text(json.dumps(raw))
-        assert main(["classify", "--config", str(path)]) == 0
+        path = _chapple_config(tmp_path)
+        assert main(["classify", "--config", path]) == 0
         fields = dict(item.split("=") for item in
                       capsys.readouterr().out.split())
         assert (fields["O"], fields["locus"]) == ("Exterior", "Point")
-        cfg = load_config(str(path))
+        cfg = load_config(path)
         with pytest.raises(SingularMap):
             exact_locus_conic(inversive_coeffs(cfg.fam, cfg.inversion))
+
+    def test_verify_at_a_equals_b_skips_the_conic_lines(self, tmp_path,
+                                                        capsys):
+        path = _chapple_config(tmp_path)
+        assert main(["verify", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":", 1)[0] for line in lines] == VERIFY_LINES
+        point_locus = ("exact_vs_fitted_conic", "sweep_on_exact_conic",
+                       "conic_type_law", "similitude_tangency")
+        for name, line in zip(VERIFY_LINES, lines):
+            status = line.split(": ", 1)[1]
+            if name in point_locus:
+                assert status == "SKIP (X3' locus is a point: a = b)"
+            elif name == "homothety":  # O is not P3
+                assert status.startswith("SKIP")
+            else:
+                assert status.startswith("PASS")
+        fam = load_config(path).fam
+        for res in (p3_point(fam), p5_point(fam)):
+            assert np.isfinite(res.point) and np.isfinite(res.invariant_power)
+
+
+def _chapple_config(tmp_path) -> str:
+    """The bicentric config of TestConfig.test_inner_circle_form: at a = b
+    the circumcircle is fixed, so X3' does not move."""
+    center = 0.2 + 0.1j
+    raw = {"family": {"a": 1.0, "b": 1.0,
+                      "inner_circle_center": [center.real, center.imag],
+                      "inner_circle_radius": (1 - abs(center) ** 2) / 2},
+           "inversion": {"center": [2.0, 0.0], "radius": 0.5}}
+    path = tmp_path / "chapple.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 def _inner_circle_config(tmp_path, a, b, center) -> str:
@@ -363,6 +393,23 @@ def _count_calls(monkeypatch, *names):
                 if val is original:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+class TestNoSecondPath:
+    def test_commands_run_without_eigenvalue_or_root_solvers(
+            self, cfg_path, tmp_path, monkeypatch, capsys):
+        # The triangle kernel inverts the Blaschke phase; np.roots stays a
+        # test oracle only.
+        def banned(*args, **kwargs):
+            raise AssertionError("eigenvalue or polynomial-root solver called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", banned)
+        monkeypatch.setattr(np, "roots", banned)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg_path, "--out", out,
+                     "--svg"]) == 0
+        assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+        assert main(["classify", "--config", cfg_path]) == 0
 
 
 class TestSolveCounts:

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -111,6 +112,68 @@ class TestTriangleAt:
             for v in cur:
                 assert min(abs(v - u) for u in prev) < 0.05
             prev = cur
+
+
+def _oracle_vertices(fam, theta):
+    """Roots of the family cubic at 40 digits, in argument order."""
+    with mp.workdps(40):
+        f, g, lam = mp.mpc(fam.f), mp.mpc(fam.g), mp.expj(mp.mpf(theta))
+        roots = mp.polyroots([1, -(f + g + lam * mp.conj(f * g)),
+                              f * g + lam * mp.conj(f + g), -lam],
+                             maxsteps=200, extraprec=200)
+        return sorted(roots, key=lambda z: mp.arg(z) % (2 * mp.pi))
+
+
+def _theta_with_vertex_at(fam, t):
+    """The parameter whose triangle has a vertex at e^{it}: lam = B(e^{it})."""
+    with mp.workdps(40):
+        z = mp.expj(mp.mpf(t))
+        f, g = mp.mpc(fam.f), mp.mpc(fam.g)
+        lam = z * (z - f) * (z - g) / ((1 - mp.conj(f) * z)
+                                       * (1 - mp.conj(g) * z))
+        return float(mp.arg(lam) % (2 * mp.pi))
+
+
+class TestPhaseKernel:
+    @pytest.mark.parametrize("modulus", [0.5, 0.9, 0.999, 0.99999])
+    @pytest.mark.parametrize("equal_foci", [False, True])
+    def test_matches_mpmath_oracle(self, modulus, equal_foci):
+        # Seeded thetas, plus thetas that put a vertex 1e-4 to 3e-2 rad
+        # from the direction of f, where 1 - f e^{-it} is small and a
+        # cancelling evaluation of it loses digits.  Vertices must match
+        # in argument order and sit on the unit circle to 2 ulp.
+        rng = np.random.default_rng(int(modulus * 1e5) + equal_foci)
+        f = modulus * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        g = f if equal_foci else modulus * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        fam = PonceletFamily.from_axes(f, g, 2.0, 1.0)
+        near = np.angle(f) + np.outer([1, -1], [1e-4, 3e-3, 3e-2]).ravel()
+        thetas = np.r_[rng.uniform(0, 2 * np.pi, 12),
+                       [_theta_with_vertex_at(fam, t) for t in near]]
+        got = np.array(triangle_at(fam, thetas))
+        for j, th in enumerate(thetas):
+            ref = _oracle_vertices(fam, th)
+            err = max(float(abs(mp.mpc(v) - r)) for v, r in zip(got[:, j], ref))
+            assert err <= 2e-15, (th, err)
+        assert np.max(np.abs(np.abs(got) - 1)) <= 2 * np.finfo(float).eps
+
+    def test_vertices_come_in_argument_order(self, rng):
+        thetas = np.linspace(0, 2 * np.pi, 1000, endpoint=False)
+        for _ in range(10):
+            v = np.array(triangle_at(random_family(rng, 0.7), thetas))
+            t = np.angle(v) % (2 * np.pi)
+            assert np.all((t[0] < t[1]) & (t[1] < t[2]))
+
+    def test_edge_family_converges(self):
+        # |f| = |g| within 1e-10 of the circle: the phase climbs 4 pi in a
+        # sliver of t, steeper than double t can resolve to 1e-9 in phase.
+        f = (1 - 1e-10) * np.exp(0.7j)
+        fam = PonceletFamily.from_axes(f, f, 2.0, 1.0)
+        thetas = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        got = np.array(triangle_at(fam, thetas))
+        for j in (0, 21, 42):
+            ref = _oracle_vertices(fam, thetas[j])
+            assert max(float(abs(mp.mpc(v) - r))
+                       for v, r in zip(got[:, j], ref)) <= 2e-15
 
 
 class TestInnerEllipse:

@@ -12,6 +12,7 @@ from poncelet_inversive import (
     barycenter,
     circumcenter_affine_in_lambda,
     circumcenter,
+    circumcenter_locus_conic,
     circumcircle,
     euler_circle,
     exact_locus_conic,
@@ -31,6 +32,7 @@ from poncelet_inversive.errors import (
     CenterSingularity,
     CollinearVertices,
     OnCircumcircle,
+    SingularMap,
 )
 from poncelet_inversive.inversive import (
     InversiveCoefficients,
@@ -289,6 +291,22 @@ class TestProjectiveLocus:
         chart = conic_residual(sw.exact_conic, pts)
         assert np.max(np.abs(chart - np.array(oracle))) <= 1e-15
         assert np.max(chart) < 1e-9
+
+
+class TestCircumcenterLocus:
+    def test_swept_circumcenters_lie_on_it(self, rng):
+        thetas = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+        for _ in range(20):
+            fam = random_family(rng)
+            conic = circumcenter_locus_conic(fam)
+            assert conic_classify(conic) == ConicType.ELLIPSE
+            x3 = circumcircle(affine_image(fam, triangle_at(fam, thetas))).center
+            assert np.max(conic_residual(conic, x3)) < 1e-13 * max(
+                1.0, np.max(np.abs(x3)))
+
+    def test_point_locus_is_singular(self):
+        with pytest.raises(SingularMap):
+            circumcenter_locus_conic(PonceletFamily.from_axes(0.3, 0.2, 1.0, 1.0))
 
 
 class TestPencilAndCollinearity:
