@@ -52,16 +52,18 @@ from .power import (
 from .analysis import (
     OLocation,
     OLocationKind,
+    Skip,
     SweepResult,
     classify_O,
     circle_fit,
+    conic_type_check,
     external_similitude_center,
     homothety_check,
     nonconic_evidence,
-    projectivity_residual,
+    projectivity_check,
+    sampled_location,
     similitude_check,
     sweep,
-    verify_conic_type,
 )
 
 __version__ = "0.1.0"

@@ -15,17 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, conics, family, inversive
-from .power import p3_point, p3_preimage, p5_point
-from .power import power as power_of_point
-from .errors import FamilyError, GeometryError, SingularMap
+from . import analysis, family, inversive
+from .power import p3_point, p5_point
+from .errors import FamilyError, GeometryError
 
 CSV_HEADER = ("theta,x3_re,x3_im,x3p_re,x3p_im,invx3_re,invx3_im,"
               "x2p_re,x2p_im,x4p_re,x4p_im,x5p_re,x5p_im,power_O,skipped")
 _CSV_ROW = ",".join(["%.17g"] * 14) + ",%d\n"
 _CSV_BLOCK = 1024
 _LOCUS_SAMPLES = 512
-_POINT_LOCUS = "(X3' locus is a point: a = b)"
 
 
 class ConfigError(Exception):
@@ -193,7 +191,7 @@ def write_svg(sw: analysis.SweepResult, p3: complex, p5: complex,
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     sw = analysis.sweep(cfg.fam, cfg.inversion, cfg.samples)
-    exact = sw.exact_conic
+    exact = inversive.exact_locus_conic(sw.coeffs)  # SingularMap at a = b
     p3 = p3_point(cfg.fam)
     p5 = p5_point(cfg.fam)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,158 +211,36 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     return 0
 
 
-def _check(lines, name, ok, residual=None, note=""):
-    status = "PASS" if ok else "FAIL"
-    extra = f" residual={residual:.3e}" if residual is not None else ""
-    if note:
-        extra += f" {note}"
-    lines.append(f"{name}: {status}{extra}")
-    return ok
-
-
-def _skip(lines, name, note=""):
-    lines.append(f"{name}: SKIP {note}".rstrip())
-
-
-def _location_note(loc: analysis.OLocation, ctype: conics.ConicType) -> str:
-    return (f"O={loc.kind.value} locus={ctype.value} "
-            f"crossings={loc.crossing_count} margin={loc.margin:+.3e}")
-
-
-def _power_defect(res, circles: inversive.Circle) -> float:
-    """max(std, |mean - Pi|) of the power of res.point with respect to the
-    circles, over their mean squared radius."""
-    pows = power_of_point(res.point, circles)
-    return float(max(pows.std(), abs(pows.mean() - res.invariant_power))
-                 / np.mean(circles.radius ** 2))
-
-
 def run_verify(cfg: RunConfig) -> tuple[list[str], bool]:
-    fam, k = cfg.fam, cfg.inversion
-    lines = []
-    all_ok = True
-    sw = analysis.sweep(fam, k, cfg.samples)
-
-    # Closed form vs the swept X3', on about 64 of the kept samples where
-    # the closed form is finite.
-    at = np.arange(0, len(sw.thetas), max(1, len(sw.thetas) // 64))
-    at = at[~np.isnan(sw.x3p[at])
-            & ~sw.coeffs.on_circumcircle(np.exp(1j * sw.thetas[at]))]
-    direct = sw.x3p[at]
-    closed = inversive.inversive_circumcenter_closed(sw.coeffs, sw.thetas[at])
-    err = np.max(np.abs(closed - direct) / np.maximum(1.0, np.abs(direct)))
-    all_ok &= _check(lines, "closed_form_vs_direct", err < 1e-9, err)
-
-    # Projectivity: the closed-form denominator is a b times the power of O.
-    proj = analysis.projectivity_residual(sw)
-    all_ok &= _check(lines, "projectivity_hypotheses", proj < 1e-10, proj)
-
-    # Exact vs fitted conic, sweep residuals, conic type vs O location.
-    # At a = b the circumcircle is fixed and X3' does not move: no conic.
-    try:
-        exact = sw.exact_conic
-    except SingularMap:
-        exact = None
-        for name in ("exact_vs_fitted_conic", "sweep_on_exact_conic",
-                     "conic_type_law"):
-            _skip(lines, name, _POINT_LOCUS)
-    else:
-        dist = conics.conic_fit(sw.valid("x3p")).distance(exact)  # fit's chart
-        all_ok &= _check(lines, "exact_vs_fitted_conic", dist < 1e-8, dist)
-        resid = np.max(conics.conic_residual(exact, sw.valid("x3p")))
-        all_ok &= _check(lines, "sweep_on_exact_conic", resid < 1e-9, resid)
-        rep = analysis.verify_conic_type(sw)
-        all_ok &= _check(lines, "conic_type_law", rep.consistent,
-                         note=_location_note(rep.o_location, rep.conic_type))
-
-    # Collinearity, ratio, pencil, on the unskipped samples (NaN compares
-    # False) where O is neither X3 nor X3' (collinearity_and_ratio
-    # rejects those).
-    at = ((np.abs(sw.x3 - k.center) >= 1e-10)
-          & (np.abs(sw.x3p - k.center) >= 1e-10))
-    circ = inversive.Circle(sw.x3[at], sw.circumcircles.radius[at])
-    coll, ratio = inversive.collinearity_and_ratio(
-        sw.x3[at], k.center, sw.x3p[at], circ, k)
-    pencil = inversive.pencil_membership(
-        circ, k, inversive.Circle(sw.x3p[at], sw.image_radius[at]))
-    for name, res in (("collinearity", coll), ("distance_ratio", ratio),
-                      ("pencil_membership", pencil)):
-        res = np.max(res, initial=0.0)
-        all_ok &= _check(lines, name, res < 1e-9, res)
-
-    # Constant power points, against the circumcircles and Euler circles.
-    res3 = p3_point(fam)
-    p3_defect = _power_defect(res3, sw.circumcircles)
-    all_ok &= _check(lines, "p3_constant_power", p3_defect < 1e-9, p3_defect)
-    p5_defect = _power_defect(
-        p5_point(fam), inversive.euler_circle(sw.worlds, sw.circumcircles))
-    all_ok &= _check(lines, "p5_constant_power", p5_defect < 1e-8, p5_defect)
-
-    # P3 interiority.
-    inner = family.inner_ellipse(fam)
-    margin = inner.major_axis_length - (abs(p3_preimage(fam) - fam.f)
-                                        + abs(p3_preimage(fam) - fam.g))
-    all_ok &= _check(lines, "p3_interiority", margin > 1e-12, margin)
-
-    # Similitude tangency.
-    sim = analysis.similitude_check(sw) if exact is not None else None
-    if sim is None:
-        _skip(lines, "similitude_tangency", _POINT_LOCUS)
-    elif sim.status == "no-real-tangents":
-        _skip(lines, "similitude_tangency", "(O interior to the X3 locus)")
-    else:
-        ok = (max(sim.locus_residuals) < 1e-7
-              and all(d < 1e-4 * sim.scale for d in sim.cloud_distances)
-              and all(sim.cloud_one_sided))
-        all_ok &= _check(lines, "similitude_tangency", ok,
-                         max(sim.locus_residuals))
-
-    # Homothety (only when the config put O at P3).
-    if abs(k.center - res3.point) < 1e-9 * max(1.0, abs(res3.point)):
-        hom = analysis.homothety_check(sw)
-        if hom.status == "degenerate":
-            _skip(lines, "homothety", "(X3 locus degenerates to a point)")
-        else:
-            ok = (hom.angle_defect < 1e-7 and hom.eigenratio_defect < 1e-7
-                  and hom.ratio_defect < 1e-7)
-            all_ok &= _check(lines, "homothety", ok, max(
-                hom.angle_defect, hom.eigenratio_defect, hom.ratio_defect))
-    else:
-        _skip(lines, "homothety", "(inversion center is not P3)")
-
-    # Poncelet closure.
-    world_inner = family.inner_ellipse_world(fam)
-    v1, v2, v3 = (v[:: max(1, len(sw.thetas) // 120)] for v in sw.worlds)
-    closure = max(np.max(world_inner.side_tangency_residual(s1, s2))
-                  for s1, s2 in ((v1, v2), (v2, v3), (v3, v1)))
-    all_ok &= _check(lines, "poncelet_closure", closure < 1e-8, closure)
-
-    # Non-conic evidence (report only).
-    try:
-        nc = analysis.nonconic_evidence(sw)
-        notes = ", ".join(
-            f"{n}={nc.fits[n].residual:.2e}" if not nc.fits[n].degenerate
-            else f"{n}=degenerate" for n in ("x3p", "x2p", "x4p", "x5p"))
-        _check(lines, "nonconic_evidence", True, note=f"({notes})")
-    except ValueError as exc:
-        _skip(lines, "nonconic_evidence", f"({exc})")
-
+    """One line per row of analysis.VERIFY on one sweep; ok if none fails."""
+    sw = analysis.sweep(cfg.fam, cfg.inversion, cfg.samples)
+    lines, all_ok = [], True
+    for line, bound, check in analysis.VERIFY:
+        try:
+            ok, residual, note = getattr(analysis, check)(sw, bound)
+        except analysis.Skip as skip:
+            lines.append(f"{line}: SKIP {skip}")
+            continue
+        ok |= bound is None  # a report
+        all_ok &= ok
+        text = f"{line}: {'PASS' if ok else 'FAIL'}"
+        if residual is not None:
+            text += f" residual={residual:.3e}"
+        lines.append(f"{text} {note}" if note else text)
     return lines, all_ok
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path | None) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     lines, all_ok = run_verify(cfg)
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.txt").write_text(text)
     return 0 if all_ok else 1
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    loc = analysis.classify_O(cfg.fam, cfg.inversion)
-    print(_location_note(loc, loc.locus))
+    print(analysis.classify_O(cfg.fam, cfg.inversion))
     return 0
 
 

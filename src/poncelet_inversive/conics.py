@@ -222,20 +222,24 @@ def _adjugate(q: np.ndarray) -> np.ndarray:
 def tangents_from_point(c: Conic, o: complex) -> list[Line]:
     """Tangent lines to c through o, solved in c's chart: the lines
     s l1 + t l2 through o (l1 = [1, 0, -ox], l2 = [0, 1, -oy]) with
-    l^T Q* l = 0, the isotropic (s, t) of a 2x2 form; one when it is
-    singular (o on c), none when it is definite (o inside c)."""
+    l^T Q* l = 0, the isotropic (s, t) of a 2x2 form.  Its determinant,
+    det Q h^T Q h with h = [w, 1] the chart point of o, decides: one
+    tangent when |h^T Q h| <= 1e-12 |Q| |h|^2 (o on c), none when it is
+    positive (o inside c), else two."""
     if conic_classify(c) is ConicType.DEGENERATE:
         raise DegenerateConicError("tangents from point need a nondegenerate conic")
     w = c.chart.local(o)
-    pencil = np.array([[1.0, 0.0, -w.real], [0.0, 1.0, -w.imag]])
-    mu, e = np.linalg.eigh(pencil @ _adjugate(c.local_matrix()) @ pencil.T)
-    if abs(mu[0] * mu[1]) <= 1e-12 * np.max(np.abs(mu)) ** 2:
-        st = [e[:, np.argmin(np.abs(mu))]]
-    elif mu[0] * mu[1] > 0:
+    h = np.array([w.real, w.imag, 1.0])
+    q = c.local_matrix()
+    value = h @ q @ h
+    on_c = abs(value) <= 1e-12 * np.linalg.norm(q) * (h @ h)
+    if not on_c and np.linalg.det(q) * value > 0:
         return []
-    else:
-        st = [np.sqrt(mu[1]) * e[:, 0] + sgn * np.sqrt(-mu[0]) * e[:, 1]
-              for sgn in (1, -1)]
+    pencil = np.array([[1.0, 0.0, -w.real], [0.0, 1.0, -w.imag]])
+    mu, e = np.linalg.eigh(pencil @ _adjugate(q) @ pencil.T)
+    s = np.sqrt(np.abs(mu))  # mu[0] < 0 < mu[1] for two tangents
+    st = ([e[:, np.argmin(np.abs(mu))]] if on_c else
+          [s[1] * e[:, 0] + sgn * s[0] * e[:, 1] for sgn in (1, -1)])
     return [Line(*np.linalg.solve(c.chart.m.T, v @ pencil)) for v in st]
 
 

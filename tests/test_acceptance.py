@@ -24,6 +24,7 @@ from poncelet_inversive import (
     conic_classify,
     conic_fit,
     conic_residual,
+    conic_type_check,
     exact_locus_conic,
     external_similitude_center,
     homothety_check,
@@ -39,11 +40,10 @@ from poncelet_inversive import (
     pencil_membership,
     pi3_affine_in_lambda,
     power,
-    projectivity_residual,
+    projectivity_check,
     similitude_check,
     sweep,
     triangle_at,
-    verify_conic_type,
 )
 from poncelet_inversive.family import solve_inner_radius
 from poncelet_inversive.inversive import circumcenter, euler_circle
@@ -89,7 +89,8 @@ def test_02_projectivity_hypotheses(rng):
         fam = random_family(rng)
         k = Circle(rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3),
                    rng.uniform(0.3, 1.5))
-        worst = max(worst, projectivity_residual(sweep(fam, k, 256)))
+        res = projectivity_check(sweep(fam, k, 256), 1e-10)
+        worst = max(worst, res.residual)
     _report(2, "projectivity hypotheses", worst < 1e-10,
             f"max rel residual {worst:.3e}")
 
@@ -139,10 +140,10 @@ def test_04_conic_type_law():
     ok = True
     seen = []
     for k, want_loc, want_type in cases:
-        rep = verify_conic_type(sweep(fam, k, 4096))
-        seen.append(f"{rep.o_location.kind.value}->{rep.conic_type.value}")
-        ok &= (rep.consistent and rep.o_location.kind == want_loc
-               and rep.conic_type == want_type)
+        res = conic_type_check(sweep(fam, k, 4096), 1e-6)
+        seen.append(res.note)
+        ok &= res.ok and res.note.startswith(
+            f"O={want_loc.value} locus={want_type.value} ")
     _report(4, "conic-type law", ok, "; ".join(seen))
 
 
@@ -247,43 +248,28 @@ def test_09_chapple_case():
 
 
 def test_10_similitude():
+    # Two real tangents from O (else Skip), each touching the X3' conic to
+    # 1e-7 and grazing the inv(X3) cloud within 1e-4 of its spread.
     fam = _ref_family()
-    rep = similitude_check(sweep(fam, REF_K, 720))
-    assert rep.status == "ok", "expected two real tangents from O"
-    ok = (max(rep.locus_residuals) < 1e-7
-          and all(d < 1e-4 * rep.scale for d in rep.cloud_distances)
-          and all(rep.cloud_one_sided))
-    _report(10, "similitude tangency", ok,
-            f"locus resid {max(rep.locus_residuals):.3e}, "
-            f"cloud dist {max(rep.cloud_distances):.3e} "
-            f"(band {1e-4 * rep.scale:.3e})")
+    res = similitude_check(sweep(fam, REF_K, 720), 1e-7)
+    _report(10, "similitude tangency", res.ok,
+            f"locus resid {res.residual:.3e}")
 
 
 def test_11_homothety():
+    # Axis angle, squared axis ratio and scale |Pi3| / r^2 each to 1e-7.
     fam = _ref_family()
-    rep = homothety_check(sweep(fam, Circle(p3_point(fam).point, 1.0), 720))
-    assert rep.status == "ok"
-    ok = (rep.angle_defect < 1e-7 and rep.eigenratio_defect < 1e-7
-          and rep.ratio_defect < 1e-7)
-    _report(11, "homothety at O=P3", ok,
-            f"angle {rep.angle_defect:.3e}, eigenratio {rep.eigenratio_defect:.3e}, "
-            f"ratio {rep.ratio_defect:.3e} "
-            f"(scale {rep.scale_ratio:.6f} vs {rep.predicted_ratio:.6f})")
+    res = homothety_check(sweep(fam, Circle(p3_point(fam).point, 1.0), 720),
+                          1e-7)
+    _report(11, "homothety at O=P3", res.ok, f"max defect {res.residual:.3e}")
 
 
 def test_12_nonconic_evidence():
+    # X3' fits a conic to 1e-9 of its spread; X2', X4', X5' miss by over
+    # 1e-4 of theirs.
     fam = _ref_family()
-    rep = nonconic_evidence(sweep(fam, REF_K, 720))
-    x3p = rep.fits["x3p"]
-    ok = (not x3p.degenerate and x3p.residual < 1e-9 * x3p.scale)
-    others = []
-    for name in ("x2p", "x4p", "x5p"):
-        fit = rep.fits[name]
-        ok &= (not fit.degenerate and fit.residual > 1e-4 * fit.scale)
-        others.append(f"{name} {fit.residual / fit.scale:.2e}")
-    ok &= rep.is_evidence()
-    _report(12, "non-conic evidence", ok,
-            f"x3p {x3p.residual / x3p.scale:.2e}; " + ", ".join(others))
+    res = nonconic_evidence(sweep(fam, REF_K, 720))
+    _report(12, "non-conic evidence", res.ok, res.note)
 
 
 def test_13_poncelet_closure():

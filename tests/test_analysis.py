@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from poncelet_inversive import (
     ConicType,
     OLocationKind,
     PonceletFamily,
+    Skip,
     Triangle,
     affine_image,
     circle_fit,
+    circumcenter_locus_conic,
     classify_O,
     conic_fit,
+    conic_type_check,
     conic_residual,
     exact_locus_conic,
     external_similitude_center,
@@ -18,12 +23,14 @@ from poncelet_inversive import (
     inversive_coeffs,
     nonconic_evidence,
     p3_point,
+    sampled_location,
     similitude_check,
     sweep,
+    tangents_from_point,
     triangle_at,
-    verify_conic_type,
 )
-from poncelet_inversive import analysis
+from poncelet_inversive import analysis, conics
+from poncelet_inversive.conics import tangency_residual
 
 from conftest import (EXTERIOR_K, REF_A, REF_F, REF_G, REF_K, random_circle,
                       random_family)
@@ -128,7 +135,7 @@ class TestClassifyO:
         for f, k in cases:
             assert abs(_margin(f, k)) > 1e-4
             loc = classify_O(f, k)
-            oracle = verify_conic_type(sweep(f, k, 4096)).o_location
+            oracle = sampled_location(sweep(f, k, 4096), 1e-6)
             assert (loc.kind, loc.crossing_count) \
                 == (oracle.kind, oracle.crossing_count)
             assert abs(oracle.margin - loc.margin) <= 1e-12
@@ -138,28 +145,28 @@ class TestClassifyO:
                         (OLocationKind.INTERIOR, 0)}
 
     def test_grid_refinement_stability(self, fam):
-        a = verify_conic_type(sweep(fam, REF_K, 1024)).o_location
-        b = verify_conic_type(sweep(fam, REF_K, 4096)).o_location
+        a = sampled_location(sweep(fam, REF_K, 1024), 1e-6)
+        b = sampled_location(sweep(fam, REF_K, 4096), 1e-6)
         assert (a.kind, a.crossing_count) == (b.kind, b.crossing_count)
         # The power of O is exactly one sinusoid, so its fit does not move
         # with the grid.
-        c = verify_conic_type(sweep(fam, REF_K, 64)).o_location
+        c = sampled_location(sweep(fam, REF_K, 64), 1e-6)
         assert max(abs(a.margin - c.margin), abs(b.margin - c.margin)) <= 1e-12
 
     def test_conic_type_law_consistency(self, fam):
-        rep = verify_conic_type(sweep(fam, REF_K, 4096))
-        assert rep.consistent and rep.conic_type is ConicType.HYPERBOLA
-        rep = verify_conic_type(sweep(fam, EXTERIOR_K, 4096))
-        assert rep.consistent and rep.conic_type is ConicType.ELLIPSE
+        for k, locus in ((REF_K, ConicType.HYPERBOLA),
+                         (EXTERIOR_K, ConicType.ELLIPSE)):
+            res = conic_type_check(sweep(fam, k, 4096), 1e-6)
+            assert res.ok and f" locus={locus.value} " in res.note
 
     def test_swapped_conic_type_is_inconsistent(self, fam, monkeypatch):
         swap = {ConicType.ELLIPSE: ConicType.HYPERBOLA,
                 ConicType.HYPERBOLA: ConicType.ELLIPSE}
-        classify = analysis.conic_classify
-        monkeypatch.setattr(analysis, "conic_classify",
+        classify = conics.conic_classify
+        monkeypatch.setattr(conics, "conic_classify",
                             lambda c: swap[classify(c)])
         for k in (REF_K, EXTERIOR_K):
-            assert not verify_conic_type(sweep(fam, k, 256)).consistent
+            assert not conic_type_check(sweep(fam, k, 256), 1e-6).ok
 
     @pytest.mark.parametrize("n", [720, 4096])
     def test_law_near_boundary(self, fam, n):
@@ -172,19 +179,19 @@ class TestClassifyO:
             for delta in np.logspace(-10, -6, 8):
                 for side in (-1, 1):
                     k = Circle(on + side * delta * step, REF_K.radius)
-                    rep = verify_conic_type(sweep(fam, k, n))
-                    m = rep.o_location.margin
-                    assert rep.consistent, (end, side * delta, rep)
+                    sw = sweep(fam, k, n)
+                    res = conic_type_check(sw, 1e-6)
+                    m = sampled_location(sw, 1e-6).margin
+                    assert res.ok, (end, side * delta, res)
                     if abs(m) > 1e-12:
                         assert np.sign(m) == np.sign(_margin(fam, k))
 
     def test_O_on_a_vertex(self, fam):
         # The sampled power of O is exactly 0 at theta = 0.
         o = complex(affine_image(fam, triangle_at(fam, 0.0)).v1)
-        rep = verify_conic_type(sweep(fam, Circle(o, REF_K.radius), 256))
-        assert rep.consistent
-        assert rep.o_location.kind is OLocationKind.INTERIOR
-        assert rep.o_location.crossing_count == 6
+        res = conic_type_check(sweep(fam, Circle(o, REF_K.radius), 256), 1e-6)
+        assert res.ok and res.note.startswith("O=Interior ")
+        assert " crossings=6 " in res.note
 
     def test_O_on_every_circumcircle(self):
         # Unit circumcircle for every theta, O on it: the power is 0.
@@ -194,12 +201,8 @@ class TestClassifyO:
 
 class TestSimilitude:
     def test_reference_config(self, fam):
-        rep = similitude_check(sweep(fam, REF_K, 360))
-        assert rep.status == "ok"
-        assert len(rep.tangents) == 2
-        assert max(rep.locus_residuals) < 1e-7
-        assert all(d < 1e-4 * rep.scale for d in rep.cloud_distances)
-        assert all(rep.cloud_one_sided)
+        res = similitude_check(sweep(fam, REF_K, 360), 1e-7)
+        assert res.ok and res.residual < 1e-7
 
     def test_locus_residuals_ignore_vertex_rounding(self, monkeypatch):
         # Near-circular family (b/a = 0.99999): the X3 locus spans ~1e-5, so
@@ -208,8 +211,16 @@ class TestSimilitude:
         # vertex by up to 3e-16 rad leaves the residuals bit for bit.
         fam = PonceletFamily.from_axes(REF_F, REF_G, 2.0, 2.0 * 0.99999)
         k = Circle(3.5 + 0.5j, 0.7)
-        base = similitude_check(sweep(fam, k, 720))
-        assert base.status == "ok" and max(base.locus_residuals) < 1e-7
+
+        def residuals(sw):
+            return [tangency_residual(sw.exact_conic, line) for line in
+                    tangents_from_point(circumcenter_locus_conic(fam),
+                                        k.center)]
+
+        sw = sweep(fam, k, 720)
+        base, base_residuals = similitude_check(sw, 1e-7), residuals(sw)
+        assert base.ok and len(base_residuals) == 2
+        assert max(base_residuals) < 1e-7
         rng = np.random.default_rng(12)
         solve = analysis.triangle_at
 
@@ -220,50 +231,56 @@ class TestSimilitude:
 
         monkeypatch.setattr(analysis, "triangle_at", jittered)
         for _ in range(4):
-            rep = similitude_check(sweep(fam, k, 720))
-            assert rep.locus_residuals == base.locus_residuals
-            assert all(d < 1e-4 * rep.scale for d in rep.cloud_distances)
-            assert all(rep.cloud_one_sided)
+            sw = sweep(fam, k, 720)
+            assert residuals(sw) == base_residuals
+            assert similitude_check(sw, 1e-7) == base
+
+    @pytest.mark.parametrize("ratio", [0.999999, 0.9999999999999])
+    def test_o_outside_a_near_circular_locus_has_two_tangents(self, ratio):
+        # O sits some 1e6 to 1e13 of the X3 locus' spread away from it.
+        fam = PonceletFamily.from_axes(REF_F, REF_G, 2.0, 2.0 * ratio)
+        assert len(tangents_from_point(circumcenter_locus_conic(fam),
+                                       3.5 + 0.5j)) == 2
 
     def test_o_inside_locus_has_no_tangents(self, fam):
         # Center O on the X3 locus centroid: no real tangents exist.
         sw = sweep(fam, REF_K, 128)
         centroid = complex(np.mean(sw.valid("x3")))
-        rep = similitude_check(sweep(fam, Circle(centroid, 0.4), 128))
-        assert rep.status == "no-real-tangents"
+        with pytest.raises(Skip, match="O interior to the X3 locus"):
+            similitude_check(sweep(fam, Circle(centroid, 0.4), 128), 1e-7)
 
 
 class TestHomothety:
     def test_reference_family(self, fam):
-        rep = homothety_check(
-            sweep(fam, Circle(p3_point(fam).point, 0.8), 360))
-        assert rep.status == "ok"
-        assert rep.angle_defect < 1e-7
-        assert rep.eigenratio_defect < 1e-7
-        assert rep.ratio_defect < 1e-7
-        predicted = abs(p3_point(fam).invariant_power) / 0.8 ** 2
-        assert rep.predicted_ratio == pytest.approx(predicted)
+        res = homothety_check(
+            sweep(fam, Circle(p3_point(fam).point, 0.8), 360), 1e-7)
+        assert res.ok and res.residual < 1e-7
+        with pytest.raises(Skip, match="inversion center is not P3"):
+            homothety_check(sweep(fam, REF_K, 128), 1e-7)
 
     def test_degenerate_chapple_locus(self):
         # Bicentric family: X3 is pinned at the origin, no conic to compare.
         fam = PonceletFamily.from_axes(0.3, 0.3, 1.0, 1.0)
-        assert homothety_check(sweep(
-            fam, Circle(p3_point(fam).point, 1.0), 128)).status == "degenerate"
+        with pytest.raises(Skip, match="X3 locus degenerates to a point"):
+            homothety_check(sweep(fam, Circle(p3_point(fam).point, 1.0), 128),
+                            1e-7)
 
 
 class TestNonConic:
     def test_reference_config(self, fam):
-        rep = nonconic_evidence(sweep(fam, REF_K, 360))
-        assert rep.is_evidence()
-        x3p = rep.fits["x3p"]
-        assert x3p.residual < 1e-9 * x3p.scale
-        for name in ("x2p", "x4p", "x5p"):
-            fit = rep.fits[name]
-            assert fit.residual > 1e-4 * fit.scale
+        res = nonconic_evidence(sweep(fam, REF_K, 360))
+        assert res.ok and res.residual is None
+        assert re.fullmatch(r"\(x3p=\S+, x2p=\S+, x4p=\S+, x5p=\S+\)", res.note)
+
+    def test_point_loci_are_no_evidence(self):
+        # a = b: X3' is a point, printed degenerate, so nothing is shown.
+        fam = PonceletFamily.from_axes(0.3, 0.3, 1.0, 1.0)
+        res = nonconic_evidence(sweep(fam, Circle(2 + 0j, 0.5), 256))
+        assert not res.ok and res.note.startswith("(x3p=degenerate, ")
 
     def test_needs_enough_samples(self, fam):
         sw = sweep(fam, REF_K, 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(Skip, match="need at least 100 valid samples"):
             nonconic_evidence(sw)
 
 

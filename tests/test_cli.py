@@ -239,6 +239,35 @@ class TestCommands:
             r"conic_type_law: PASS O=Interior locus=Hyperbola crossings=6 "
             r"margin=-\d\.\d{3}e[+-]\d{2}", lines[4])
 
+    def test_verify_table_bounds(self):
+        # The bounds every verify line has always been held to; the
+        # benchmark's verify-mix margins read the same ones.
+        assert [row[0] for row in analysis.VERIFY] == VERIFY_LINES
+        assert {line: bound for line, bound, _ in analysis.VERIFY} == {
+            "closed_form_vs_direct": 1e-9, "projectivity_hypotheses": 1e-10,
+            "exact_vs_fitted_conic": 1e-8, "sweep_on_exact_conic": 1e-9,
+            "conic_type_law": 1e-6, "collinearity": 1e-9,
+            "distance_ratio": 1e-9, "pencil_membership": 1e-9,
+            "p3_constant_power": 1e-9, "p5_constant_power": 1e-8,
+            "p3_interiority": 1e-12, "similitude_tangency": 1e-7,
+            "homothety": 1e-7, "poncelet_closure": 1e-8,
+            "nonconic_evidence": None}
+
+    def test_verify_rows_run_the_module_binding(self, cfg_path, monkeypatch):
+        # Rows name their check, so a rebound one (a tracer's wrapper) is
+        # the one that runs; a FAIL fails the run, a report never does.
+        monkeypatch.setattr(analysis, "pencil_check",
+                            lambda sw, bound: analysis.CheckResult(False, 2.0))
+        monkeypatch.setattr(analysis, "nonconic_evidence",
+                            lambda sw, bound: analysis.CheckResult(False))
+        lines, ok = run_verify(load_config(cfg_path))
+        assert not ok
+        assert lines[7] == "pencil_membership: FAIL residual=2.000e+00"
+        assert lines[14] == "nonconic_evidence: PASS"
+        monkeypatch.setattr(analysis, "pencil_check",
+                            lambda sw, bound: analysis.CheckResult(True))
+        assert run_verify(load_config(cfg_path))[1]
+
     def test_verify_at_p3_runs_homothety(self, tmp_path, capsys):
         from poncelet_inversive import PonceletFamily, p3_point
         fam = PonceletFamily.from_axes(REF_F, REF_G, REF_A, REF_B)
@@ -334,6 +363,13 @@ class TestNearCircular:
         for res in (p3_point(fam), p5_point(fam)):
             assert np.isfinite(res.point) and np.isfinite(res.invariant_power)
 
+    def test_verify_at_a_equals_b_tries_the_conic_once(self, tmp_path,
+                                                       monkeypatch):
+        # Four lines read the missing conic; its failing build runs once.
+        calls = _count_calls(monkeypatch, "exact_locus_conic")
+        _, ok = run_verify(load_config(_chapple_config(tmp_path)))
+        assert ok and calls == {"exact_locus_conic": 1}
+
 
 def _chapple_config(tmp_path) -> str:
     """The bicentric config of TestConfig.test_inner_circle_form: at a = b
@@ -425,16 +461,18 @@ class TestSolveCounts:
                                               at_p3):
         calls = _count_calls(monkeypatch, "inversive_coeffs",
                              "exact_locus_conic", "inversive_triangle",
-                             "circumcenter")
+                             "circumcenter", "pencil_membership")
         cfg = load_config(cfg_path)
         if at_p3:  # homothety reads the exact conic too
             cfg.inversion = Circle(p3_point(cfg.fam).point, 1.0)
         _, ok = run_verify(cfg)
         assert ok
         # One circumcentre pass over the world and one over the image
-        # triangles; X4', X5' and the Euler circles reuse them.
+        # triangles; X4', X5' and the Euler circles reuse them.  The
+        # collinearity, distance-ratio and pencil lines share one pass.
         assert calls == {"inversive_coeffs": 1, "exact_locus_conic": 1,
-                         "inversive_triangle": 1, "circumcenter": 2}
+                         "inversive_triangle": 1, "circumcenter": 2,
+                         "pencil_membership": 1}
 
     def test_classify_solves_nothing(self, cfg_path, monkeypatch, capsys):
         thetas = _count_solves(monkeypatch)

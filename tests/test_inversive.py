@@ -23,7 +23,7 @@ from poncelet_inversive import (
     orthocenter,
     pencil_membership,
     projective_map_of_locus,
-    projectivity_residual,
+    projectivity_check,
     sweep,
     triangle_at,
 )
@@ -218,14 +218,14 @@ class TestClosedForm:
         # b2 is caught, where the exact coefficients sit near 1e-15.
         for _ in range(10):
             sw = sweep(random_family(rng), random_circle(rng), 256)
-            assert projectivity_residual(sw) < 1e-13
+            assert projectivity_check(sw, 1e-10).residual < 1e-13
             co = sw.coeffs
             slip = 1e-9 * co.denominator_scale()
             for bad in (dataclasses.replace(co, b0=co.b0 + slip),
                         dataclasses.replace(co, b2=co.b2 + slip,
                                             b1=np.conj(co.b2 + slip))):
                 sw.coeffs = bad
-                assert projectivity_residual(sw) > 1e-10
+                assert not projectivity_check(sw, 1e-10).ok
 
 
 class TestProjectiveLocus:
