@@ -40,7 +40,7 @@ from .inversive import (
     orthocenter,
     pencil_membership,
 )
-from .power import p3_point, p3_preimage, p5_point, power
+from .power import PowerPointResult, p3_point, p3_preimage, p5_point, power
 
 _SKIP_POWER_TOL = 1e-8
 
@@ -55,8 +55,8 @@ class SweepResult:
     x3p and radii `image_radius`.  These and the other centre arrays hold
     NaN at skipped indices (inversion center on the circumcircle there,
     inversive circumcenter at infinity).  The closed-form coefficients, the
-    exact X3' conic and the incidence residuals are computed on first use,
-    once.
+    exact X3' conic, P3, P5 and the incidence residuals are computed on
+    first use, once.
     """
 
     thetas: np.ndarray
@@ -88,6 +88,14 @@ class SweepResult:
             return exact_locus_conic(self.coeffs)
         except SingularMap:
             return None
+
+    @cached_property
+    def p3(self) -> PowerPointResult:
+        return p3_point(self.family)
+
+    @cached_property
+    def p5(self) -> PowerPointResult:
+        return p5_point(self.family)
 
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,12 +291,12 @@ def _power_check(res, circles: Circle, bound: float) -> CheckResult:
 
 
 def p3_power_check(sw: SweepResult, bound: float) -> CheckResult:
-    return _power_check(p3_point(sw.family), sw.circumcircles, bound)
+    return _power_check(sw.p3, sw.circumcircles, bound)
 
 
 def p5_power_check(sw: SweepResult, bound: float) -> CheckResult:
-    return _power_check(p5_point(sw.family),
-                        euler_circle(sw.worlds, sw.circumcircles), bound)
+    return _power_check(sw.p5, euler_circle(sw.worlds, sw.circumcircles),
+                        bound)
 
 
 def p3_interiority_check(sw: SweepResult, floor: float) -> CheckResult:
@@ -322,15 +330,11 @@ def homothety_check(sw: SweepResult, bound: float) -> CheckResult:
     """With the inversion centered at P3, the X3' locus is a translated and
     scaled copy of the X3 locus, scale |Pi3| / r^2: the axis-angle,
     squared-axis-ratio and relative scale defects are each under bound."""
-    fam, k = sw.family, sw.inversion
-    p3 = p3_point(fam)
+    k, p3 = sw.inversion, sw.p3
     if not abs(k.center - p3.point) < 1e-9 * max(1.0, abs(p3.point)):
         raise Skip("(inversion center is not P3)")
-    x3 = sw.valid("x3")
-    if np.max(np.abs(x3 - x3.mean())) < 1e-10 * max(1.0, abs(x3.mean())):
-        raise Skip("(X3 locus degenerates to a point)")
-    _, maj3, min3, angle3 = conic_params(conic_fit(x3))
-    _, maj3p, min3p, angle3p = conic_params(_exact_conic(sw))
+    _, maj3p, min3p, angle3p = conic_params(_exact_conic(sw))  # a = b skips
+    _, maj3, min3, angle3 = conic_params(conic_fit(sw.valid("x3")))
     d = abs(angle3 - angle3p) % np.pi
     predicted = abs(p3.invariant_power) / k.radius ** 2
     defects = [float(min(d, np.pi - d)),

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, family, inversive
-from .power import p3_point, p5_point
 from .errors import FamilyError, GeometryError
 
 CSV_HEADER = ("theta,x3_re,x3_im,x3p_re,x3p_im,invx3_re,invx3_im,"
@@ -191,13 +190,11 @@ def write_svg(sw: analysis.SweepResult, p3: complex, p5: complex,
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     sw = analysis.sweep(cfg.fam, cfg.inversion, cfg.samples)
-    exact = inversive.exact_locus_conic(sw.coeffs)  # SingularMap at a = b
-    p3 = p3_point(cfg.fam)
-    p5 = p5_point(cfg.fam)
+    exact, p3, p5 = sw.exact_conic, sw.p3, sw.p5  # no conic at a = b
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(sw, out_dir / "sweep.csv")
     meta = {
-        "exact_x3p_conic": list(exact.coeffs),
+        "exact_x3p_conic": None if exact is None else list(exact.coeffs),
         "p3": [p3.point.real, p3.point.imag],
         "pi3": p3.invariant_power,
         "p5": [p5.point.real, p5.point.imag],

@@ -220,12 +220,12 @@ def _adjugate(q: np.ndarray) -> np.ndarray:
 
 
 def tangents_from_point(c: Conic, o: complex) -> list[Line]:
-    """Tangent lines to c through o, solved in c's chart: the lines
-    s l1 + t l2 through o (l1 = [1, 0, -ox], l2 = [0, 1, -oy]) with
-    l^T Q* l = 0, the isotropic (s, t) of a 2x2 form.  Its determinant,
-    det Q h^T Q h with h = [w, 1] the chart point of o, decides: one
-    tangent when |h^T Q h| <= 1e-12 |Q| |h|^2 (o on c), none when it is
-    positive (o inside c), else two."""
+    """Tangent lines to c through o, solved in c's chart, h = [w, 1] the
+    point of o.  det Q h^T Q h decides: one tangent when |h^T Q h| <= 1e-12
+    |Q| |h|^2 (o on c), none when it is positive (o inside c), else two.
+    They touch c where o's polar Q h meets it, at t = x p + y d (p the
+    polar's point nearest the chart centre, d its point at infinity, and
+    a x^2 + 2 b x y + e y^2 = 0); each tangent is the polar Q t."""
     if conic_classify(c) is ConicType.DEGENERATE:
         raise DegenerateConicError("tangents from point need a nondegenerate conic")
     w = c.chart.local(o)
@@ -235,12 +235,13 @@ def tangents_from_point(c: Conic, o: complex) -> list[Line]:
     on_c = abs(value) <= 1e-12 * np.linalg.norm(q) * (h @ h)
     if not on_c and np.linalg.det(q) * value > 0:
         return []
-    pencil = np.array([[1.0, 0.0, -w.real], [0.0, 1.0, -w.imag]])
-    mu, e = np.linalg.eigh(pencil @ _adjugate(q) @ pencil.T)
-    s = np.sqrt(np.abs(mu))  # mu[0] < 0 < mu[1] for two tangents
-    st = ([e[:, np.argmin(np.abs(mu))]] if on_c else
-          [s[1] * e[:, 0] + sgn * s[0] * e[:, 1] for sgn in (1, -1)])
-    return [Line(*np.linalg.solve(c.chart.m.T, v @ pencil)) for v in st]
+    l0, l1, l2 = q @ h  # o's polar line; rows of pd: its p and its d
+    pd = (np.array([[-l0 * l2, -l1 * l2, l0 * l0 + l1 * l1], [-l1, l0, 0.0]])
+          if l0 or l1 else np.eye(3)[:2])  # o a centre: the line at infinity
+    (a, b), (_, e) = pd @ q @ pd.T
+    k = -b - np.copysign(np.sqrt(abs(b * b - a * e)), b)  # roots (e, k) (k, a)
+    ts = [h] if on_c else [(e, k) @ pd, (k, a) @ pd]  # on c, o touches
+    return [Line(*np.linalg.solve(c.chart.m.T, q @ t)) for t in ts]
 
 
 def tangency_residual(c: Conic, line: Line) -> float:

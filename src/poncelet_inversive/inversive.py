@@ -3,9 +3,9 @@ circumcenter with its projective-map consequences.
 
 The closed form evaluated here is
 
-    X3'(lam) = z0 + (a2 lam + a1 conj(lam) + a0) / (b2 lam + b1 conj(lam) + b0)
+    X3'(lam) = z0 + (a2 lam + a1 conj(lam) + a0) / (b0 + 2 Re(b2 lam))
 
-with b1 = conj(b2) and b0 real, so the denominator is a real scalar.  With
+with b0 real, so the denominator is a real scalar.  With
 a, b the outer semiaxes and r the inversion radius, the denominator is
 a b power(z0, circumcircle(lam)) and the numerator is a b r^2 (X3 - z0),
 where X3 is the world-chart circumcenter; inversive_coeffs builds both
@@ -30,7 +30,7 @@ from .errors import (
     OnCircumcircle,
 )
 from .family import PonceletFamily, Triangle
-from .power import circumcenter_affine_in_lambda, pi3_affine_in_lambda
+from .power import circumcenter_affine_in_lambda, pi3_affine_in_lambda, power
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class InversiveCoefficients:
     """Coefficients of the closed-form inversive circumcenter.
 
     a1 is the conj(lam) coefficient of the (lam, conj(lam))-affine
-    numerator; b1 = conj(b2) and b0 is real by construction, which is what
+    numerator; the denominator b0 + 2 Re(b2 lam) is real, which is what
     makes the induced map of the locus a projective transformation.
     """
 
@@ -104,7 +104,6 @@ class InversiveCoefficients:
     a1: complex
     a2: complex
     b0: float
-    b1: complex
     b2: complex
     r2: float
     z0: complex
@@ -113,7 +112,7 @@ class InversiveCoefficients:
         return self.a2 * lam + self.a1 * np.conj(lam) + self.a0
 
     def denominator(self, lam: complex) -> float:
-        return np.real(self.b2 * lam + self.b1 * np.conj(lam) + self.b0)
+        return self.b0 + 2 * np.real(self.b2 * lam)
 
     def denominator_scale(self) -> float:
         return 2 * abs(self.b2) + abs(self.b0)
@@ -125,17 +124,16 @@ class InversiveCoefficients:
 
 
 def inversive_coeffs(fam: PonceletFamily, k: Circle) -> InversiveCoefficients:
-    """a2, a1 = a b r^2 (c2, c1), a0 = a b r^2 (c0 - z0), b2 = a b M1(z0),
-    b1 = conj(b2) and b0 = a b M3(z0), with X3 = c2 lam + c1 conj(lam) + c0
+    """a2, a1 = a b r^2 (c2, c1), a0 = a b r^2 (c0 - z0), b2 = a b M1(z0)
+    and b0 = a b M3(z0), with X3 = c2 lam + c1 conj(lam) + c0
     and the circumcircle power M1 lam + conj(M1 lam) + M3 from power.py."""
     c0, c1, c2 = circumcenter_affine_in_lambda(fam)
     m1, m3 = pi3_affine_in_lambda(fam, k.center)
     ab = fam.p ** 2 - fam.q ** 2
     r2 = k.radius ** 2
     return InversiveCoefficients(a0=ab * r2 * (c0 - k.center), a1=ab * r2 * c1,
-                                 a2=ab * r2 * c2, b0=ab * m3,
-                                 b1=ab * m1.conjugate(), b2=ab * m1, r2=r2,
-                                 z0=k.center)
+                                 a2=ab * r2 * c2, b0=ab * m3, b2=ab * m1,
+                                 r2=r2, z0=k.center)
 
 
 def inversive_circumcenter_closed(coeffs: InversiveCoefficients, theta):
@@ -158,15 +156,17 @@ def projective_map_of_locus(coeffs: InversiveCoefficients):
     """
     co = coeffs
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN is singular
-        lam0 = np.sign(co.b0 or 1.0) * co.b1 / co.denominator_scale()
+        lam0 = np.sign(co.b0 or 1.0) * np.conj(co.b2) / co.denominator_scale()
         d0 = co.denominator(lam0)
         u = co.numerator(lam0) / (co.r2 * d0)
         l2, l1, l0 = (np.array([co.a2, co.a1, co.a0]) / co.r2
-                      - u * np.array([co.b2, co.b1, co.b0]))
+                      - u * np.array([co.b2, np.conj(co.b2), co.b0]))
         spread = abs(l2) + abs(l1)
         m = np.vstack([_affine_rows(l2, l1, l0) / spread,
                        [2 * co.b2.real, -2 * co.b2.imag, co.b0] / abs(d0)])
-    return ProjectiveMap(m), Chart(co.z0 + co.r2 * u, co.r2 * spread / abs(d0))
+    # Python scalars: a numpy complex scalar divides with other rounding.
+    return ProjectiveMap(m), Chart(complex(co.z0 + co.r2 * u),
+                                   float(co.r2 * spread / abs(d0)))
 
 
 def _affine_rows(l2: complex, l1: complex, l0: complex) -> np.ndarray:
@@ -186,28 +186,25 @@ def exact_locus_conic(coeffs: InversiveCoefficients) -> Conic:
 
 def circumcenter_locus_conic(fam: PonceletFamily) -> Conic:
     """Exact ellipse swept by the world circumcenter: X3 = c2 lam +
-    c1 conj(lam) + c0 is the unit circle under an affine map, taken into
-    the chart (c0, |c2| + |c1|) as projective_map_of_locus does with
-    l2 = c2, l1 = c1.  A point locus (a = b, c2 = c1 = 0) raises
+    c1 conj(lam) + c0 is the X3' of projective_map_of_locus with D = 1,
+    r = 1 and z0 = 0.  A point locus (a = b, c2 = c1 = 0) raises
     SingularMap."""
     c0, c1, c2 = circumcenter_affine_in_lambda(fam)
-    spread = abs(c2) + abs(c1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN is singular
-        m = np.vstack([_affine_rows(c2, c1, 0j) / spread, [0.0, 0.0, 1.0]])
-    return _unit_circle_image(ProjectiveMap(m), Chart(c0, spread))
+    m, chart = projective_map_of_locus(InversiveCoefficients(
+        a0=c0, a1=c1, a2=c2, b0=1.0, b2=0j, r2=1.0, z0=0j))
+    return _unit_circle_image(m, chart)
 
 
 def pencil_membership(c1: Circle, c2: Circle, c3: Circle) -> float:
     """Relative smallest singular value of the stacked circle 4-vectors.
 
-    Each circle maps to (1, -2 cx, -2 cy, |c|^2 - r^2); three circles are
+    Each circle maps to (1, -2 cx, -2 cy, power(0, c)); three circles are
     coaxial (one pencil) iff the 3x4 stack is rank deficient.  Batches of
     circles broadcast against each other and give one residual per stack.
     """
     cells = np.broadcast_arrays(*(
         x for c in (c1, c2, c3) for x in (
-            1.0, -2 * c.center.real, -2 * c.center.imag,
-            abs(c.center) ** 2 - c.radius ** 2)))
+            1.0, -2 * c.center.real, -2 * c.center.imag, power(0j, c))))
     rows = np.stack(cells, axis=-1).reshape(cells[0].shape + (3, 4))
     s = np.linalg.svd(rows, compute_uv=False)
     return s[..., -1] / s[..., 0]
@@ -222,5 +219,5 @@ def collinearity_and_ratio(x3: complex, o: complex, x3p: complex,
     u, v = x3 - o, x3p - o
     coll = abs(np.imag(u * np.conj(v))) / (abs(u) * abs(v))
     ratio = abs(u) / abs(v)
-    predicted = abs(abs(o - circ.center) ** 2 - circ.radius ** 2) / k.radius ** 2
+    predicted = abs(power(o, circ)) / k.radius ** 2
     return coll, abs(ratio - predicted) / ratio

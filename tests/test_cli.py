@@ -325,6 +325,16 @@ class TestNearCircular:
                      "--out", str(tmp_path / "out")]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ratio", [0.999999, 0.9999999])
+    def test_similitude_tangency_passes(self, tmp_path, capsys, ratio):
+        # O is far from the X3 locus on its scale; its tangents, the polars
+        # of their touching points, still touch the X3' locus.  The run
+        # exits 1: the conic fitted to the swept X3' misses the exact one
+        # by 2.4e-8 and 9.6e-8 at these ratios.
+        path = _near_circular_config(tmp_path, ratio)
+        main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+        assert "similitude_tangency: PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("ratio", [0.995, 0.999, 0.9999, 0.99999,
                                        0.999999])
     def test_classify_reads_an_ellipse(self, tmp_path, capsys, ratio):
@@ -370,6 +380,16 @@ class TestNearCircular:
         _, ok = run_verify(load_config(_chapple_config(tmp_path)))
         assert ok and calls == {"exact_locus_conic": 1}
 
+    def test_sweep_at_a_equals_b_writes_no_conic(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", _chapple_config(tmp_path),
+                     "--out", str(out), "--svg"]) == 0
+        assert (out / "sweep.csv").read_text().startswith(cli.CSV_HEADER)
+        ET.parse(out / "sweep.svg")
+        meta = json.loads((out / "sweep_meta.json").read_text())
+        assert meta["exact_x3p_conic"] is None
+        assert np.isfinite(meta["pi3"]) and np.isfinite(meta["pi5"])
+
 
 def _chapple_config(tmp_path) -> str:
     """The bicentric config of TestConfig.test_inner_circle_form: at a = b
@@ -411,14 +431,14 @@ def _count_solves(monkeypatch):
     return thetas
 
 
-def _count_calls(monkeypatch, *names):
-    """Record the calls of inversive's named functions through every
+def _count_calls(monkeypatch, *names, module=inversive):
+    """Record the calls of the module's named functions through every
     package module that binds them."""
     calls = {name: 0 for name in names}
     modules = [m for key, m in sys.modules.items()
                if key.split(".")[0] == "poncelet_inversive"]
     for name in names:
-        original = getattr(inversive, name)
+        original = getattr(module, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
@@ -473,6 +493,15 @@ class TestSolveCounts:
         assert calls == {"inversive_coeffs": 1, "exact_locus_conic": 1,
                          "inversive_triangle": 1, "circumcenter": 2,
                          "pencil_membership": 1}
+
+    def test_verify_at_p3_builds_p3_once(self, cfg_path, monkeypatch):
+        # p3_constant_power and homothety read the sweep's one P3.
+        cfg = load_config(cfg_path)
+        cfg.inversion = Circle(p3_point(cfg.fam).point, 1.0)
+        calls = _count_calls(monkeypatch, "p3_point",
+                             module=sys.modules[p3_point.__module__])
+        _, ok = run_verify(cfg)
+        assert ok and calls == {"p3_point": 1}
 
     def test_classify_solves_nothing(self, cfg_path, monkeypatch, capsys):
         thetas = _count_solves(monkeypatch)

@@ -196,24 +196,30 @@ class TestTangents:
         # Tangent at (1, 0) is the vertical line x = 1.
         assert abs(lines[0].signed_distance(1 + 5j)) < 1e-9
 
-    # Off the axes the eigen-construction loses the directions: its small
-    # eigenvalue carries an absolute error of about eps |o|^2, so the
-    # tangency residual grows like that (1.4e-4 at 1e7, 0.58 at 1e10).
-    # On the axes the 2x2 form is diagonal and exact.
-    @pytest.mark.parametrize("o", [
-        1e7, 1e10,
-        *(pytest.param(d * np.exp(0.3j), marks=pytest.mark.xfail(
-            strict=True, reason="far tangents lose their directions"))
-          for d in (1e7, 1e10))])
+    @pytest.mark.parametrize("o", [1e7, 1e10, 1e7 * np.exp(0.3j),
+                                   1e10 * np.exp(0.3j)])
     def test_far_point_has_two(self, o):
-        # The 2x2 form's eigenvalue product falls like 1/|o|^2 against its
-        # largest one; the chart value at o does not.
+        # The polar of a far point runs near the centre, where it meets the
+        # conic well conditioned, and each tangent is the polar of a point
+        # on the conic, so no direction is solved for.
         c = Conic.unit_circle()
         lines = tangents_from_point(c, complex(o))
         assert len(lines) == 2
         for line in lines:
             assert abs(line.signed_distance(complex(o))) < 1e-12 * abs(o)
             assert tangency_residual(c, line) < 1e-12
+
+    def test_hyperbola_centre_gives_the_asymptotes(self):
+        # The centre's polar is the line at infinity, which meets
+        # x^2 - y^2 = 1 in the directions of y = x and y = -x.
+        lines = tangents_from_point(
+            Conic(np.array([1.0, 0.0, -1.0, 0.0, 0.0, -1.0])), 0j)
+        assert len(lines) == 2
+        for line in lines:
+            assert abs(abs(line.a) - abs(line.b)) < 1e-12
+            assert abs(line.c) < 1e-12
+        assert abs(lines[0].a * lines[1].b - lines[0].b * lines[1].a) \
+            == pytest.approx(1.0)
 
     def test_tangency_residual_separates(self):
         c = Conic.unit_circle()

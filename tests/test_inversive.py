@@ -139,14 +139,15 @@ class TestInversiveTriangle:
 
 class TestClosedForm:
     def test_concentric_coefficient_values(self):
-        # f = g = 0 collapses most terms; check a2 and a1 by hand.
+        # f = g = 0 collapses most terms; check a2, a1 and b2 by hand.
         fam = PonceletFamily.from_axes(0.0, 0.0, 2.0, 1.0)
         k = Circle(0.7 + 0.4j, 0.9)
         co = inversive_coeffs(fam, k)
         p, q, r2 = fam.p, fam.q, k.radius ** 2
         assert co.a2 == pytest.approx(p * p * q * r2)
         assert co.a1 == pytest.approx(-p * q * q * r2)
-        assert co.b1 == pytest.approx(np.conj(co.b2))
+        z0 = k.center
+        assert co.b2 == pytest.approx(-p * q * (p * np.conj(z0) - q * z0))
 
     def test_matches_direct_path(self, rng):
         for _ in range(10):
@@ -222,8 +223,7 @@ class TestClosedForm:
             co = sw.coeffs
             slip = 1e-9 * co.denominator_scale()
             for bad in (dataclasses.replace(co, b0=co.b0 + slip),
-                        dataclasses.replace(co, b2=co.b2 + slip,
-                                            b1=np.conj(co.b2 + slip))):
+                        dataclasses.replace(co, b2=co.b2 + slip)):
                 sw.coeffs = bad
                 assert not projectivity_check(sw, 1e-10).ok
 
@@ -231,7 +231,7 @@ class TestClosedForm:
 class TestProjectiveLocus:
     def test_trivial_coefficients_give_identity(self):
         co = InversiveCoefficients(a0=0j, a1=0j, a2=1 + 0j, b0=1.0,
-                                   b1=0j, b2=0j, r2=1.0, z0=0j)
+                                   b2=0j, r2=1.0, z0=0j)
         m, post = projective_map_of_locus(co)
         assert np.allclose(m.m, np.eye(3))
         assert np.allclose(post.m, np.eye(3))
