@@ -8,6 +8,7 @@ two-element [re, im] arrays.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from .errors import FamilyError, GeometryError
 
 CSV_HEADER = ("theta,x3_re,x3_im,x3p_re,x3p_im,invx3_re,invx3_im,"
               "x2p_re,x2p_im,x4p_re,x4p_im,x5p_re,x5p_im,power_O,skipped")
-_CSV_ROW = ",".join(["%.17g"] * 14) + ",%d\n"
-_CSV_BLOCK = 1024
+_CSV_BLOCK = 512
+_WIDE = np.longdouble  # working precision of 17-digit rounding
 _LOCUS_SAMPLES = 512
 
 
@@ -94,36 +95,115 @@ def load_config(path: str, samples: int | None = None) -> RunConfig:
     return RunConfig(fam, k, samples)
 
 
+@functools.cache
+def _layout(digits: int):
+    """Tables of _format_g: a cell row's constant words (sign word "-0",
+    integer copy of the digits as 4-digit quads, point word ".000",
+    fraction copy); each quad's text; per quad position, one past the
+    quad's last nonzero digit; and per (x < 0, e + 4, cut) the row's mask,
+    keeping digits j <= e and e < j < cut of the two copies."""
+    words = -(-digits // 4)
+    pad = 4 * words - digits
+    quad = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    text = (quad + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    last = np.max(np.where(quad > 0, np.arange(1, 5), -64), axis=1)
+    ends = (last + 4 * np.arange(words)[:, None] - pad).astype(np.int8)
+    neg, e, cut, col = np.ix_(range(2), range(-4, digits), range(digits + 1),
+                              range(8 * words + 8))
+    dot = 4 + 4 * words
+    j, jf = col - 4 - pad, col - 4 - pad - dot  # digit in each copy
+    keep = ((j >= 0) & (j <= e) | (jf >= 0) & (jf > e) & (jf < cut)
+            | (col == 0) & (neg == 1) | (col == 1) & (e < 0)
+            | (col == dot) & (cut > e + 1)
+            | (col > dot) & (col < dot + 4) & (col - dot <= -1 - e))
+    row = np.zeros(8 * words + 8, np.uint8)
+    row[[0, 1, dot, dot + 1, dot + 2, dot + 3]] = list(b"-0.000")
+    mask = (keep * np.uint8(255)).reshape(-1, 8 * words + 8)
+    return row.view(np.uint32), text, ends, mask.view(np.uint64)
+
+
+def _round_decimal(x: np.ndarray, digits: int):
+    """(d, e, ok): d = rint(y), y = |x|*10**(digits-1-e), e = floor(log10|x|)
+    clipped to [-4, digits); ok where '%g' prints x in fixed notation with
+    digits d: x finite and nonzero, e unclipped, d of digits digits, and
+    |y - d| further from 1/2 than y's rounding bound u*10**digits (with
+    float64 as _WIDE, no 17-digit cell)."""
+    work = _WIDE if digits > 15 else np.float64
+    a = np.abs(x)
+    ok = np.isfinite(a) & (a > 0)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    ok &= (e >= -4) & (e < digits)
+    np.clip(e, -4, digits - 1, out=e)
+    y = a.astype(work)
+    y *= np.array([10 ** k for k in range(digits + 4)], work)[digits - 1 - e]
+    d = np.rint(y)
+    ok &= np.abs(y - d) < 0.5 - np.finfo(work).eps / 2 * 10.0 ** digits
+    ok &= (d >= 10 ** (digits - 1)) & (d < 10 ** digits)
+    return np.where(ok, d, 10 ** (digits - 1)).astype(np.int64), e, ok
+
+
+def _format_g(values, digits: int) -> np.ndarray:
+    """'%.{digits}g' % x of each value as one zero-padded uint8 row, in
+    order.  Cells _round_decimal certifies are laid out by table from their
+    4-digit quads; all others take one Python '%' call."""
+    x = np.asarray(values, dtype=float).ravel()
+    row, quads, ends, masks = _layout(digits)
+    words = len(ends)
+    d, e, ok = _round_decimal(x, digits)
+    cells = np.tile(row, (len(x), 1))
+    cut = e + 1
+    for k in range(words - 1, -1, -1):
+        q = d // 10_000
+        r = d - 10_000 * q
+        d = q
+        cells[:, 1 + k] = cells[:, 2 + words + k] = quads[r]
+        np.maximum(cut, ends[k][r], out=cut)
+    idx = np.ravel_multi_index((x < 0, e + 4, cut), (2, digits + 4, digits + 1))
+    cells.view(np.uint64)[:] &= np.take(masks, idx, axis=0)
+    out = cells.view(np.uint8)
+    slow = np.flatnonzero(~ok)
+    text = f"%{out.shape[1]}.{digits}g" * len(slow) % tuple(x[slow].tolist())
+    text = np.frombuffer(text.encode(), np.uint8).reshape(len(slow), out.shape[1])
+    out[slow] = np.where(text == ord(" "), 0, text)
+    return out
+
+
 def write_csv(sw: analysis.SweepResult, path: Path) -> None:
-    """One row per sample; '%.17g' % x equals format(x, '.17g'), and the
-    NaN cells of skipped samples are written empty.  Rows are formatted
-    and written _CSV_BLOCK at a time, so memory does not grow with the
-    sample count."""
+    """One row per sample, each cell '%.17g' % x (see _format_g), empty at
+    skipped samples.  Rows are formatted and written _CSV_BLOCK at a time,
+    so memory does not grow with the sample count."""
     cols = [sw.thetas]
     for name in ("x3", "x3p", "inv_x3", "x2p", "x4p", "x5p"):
         cols += [getattr(sw, name).real, getattr(sw, name).imag]
-    flags = np.zeros(len(sw.thetas))
-    flags[sw.skipped] = 1
-    cols += [sw.power_at_O, flags]
-    with open(path, "w") as out:
-        out.write(CSV_HEADER + "\n")
-        for start in range(0, len(flags), _CSV_BLOCK):
+    cols.append(sw.power_at_O)
+    tails = np.full((len(sw.thetas), 2), list(b"0\n"), np.uint8)
+    tails[sw.skipped, 0] = ord("1")
+    with open(path, "wb") as out:
+        out.write(CSV_HEADER.encode() + b"\n")
+        for start in range(0, len(tails), _CSV_BLOCK):
             block = np.column_stack([c[start:start + _CSV_BLOCK] for c in cols])
-            cells = block.ravel().tolist()
-            out.write((_CSV_ROW * len(block) % tuple(cells)).replace("nan", ""))
+            text = _format_g(block, 17).reshape(len(block), 14, -1)
+            text[np.isnan(block)] = 0
+            rows = np.pad(text, ((0, 0), (0, 1), (0, 1)))
+            del text  # free the cell matrix before compaction
+            rows[:, :14, -1] = ord(",")
+            rows[:, 14, :2] = tails[start:start + _CSV_BLOCK]
+            out.write(rows[rows != 0])
 
 
 def _svg_path(points) -> str:
-    """Polyline through the points; a NaN point lifts the pen.  Each run of
-    drawn points is one 'M x y L x y ...' format, filled in one pass."""
+    """Polyline through the points; a NaN point lifts the pen.  One pen
+    command per drawn point, ' M' after a lift and ' L' otherwise, with
+    each coordinate '%.6g' % x (see _format_g)."""
     pts = np.asarray(points, dtype=complex)
     drawn = ~np.isnan(pts)
-    edges = np.diff(np.r_[0, drawn, 0])
-    runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
-    fmt = " ".join("M%.6g %.6g" + " L%.6g %.6g" * (k - 1)
-                   for k in runs.tolist())
-    xy = np.column_stack([pts[drawn].real, pts[drawn].imag]).ravel()
-    return fmt % tuple(xy.tolist())
+    lift = (drawn & ~np.r_[False, drawn[:-1]])[drawn]
+    cmds = np.pad(_format_g(pts[drawn].view(float), 6), ((0, 0), (2, 0)))
+    cmds[::2, 0] = ord(" ")  # x rows: " M" or " L"; y rows: " "
+    cmds[::2, 1] = np.where(lift, ord("M"), ord("L"))
+    cmds[1::2, 1] = ord(" ")
+    return cmds[cmds != 0].tobytes()[1:].decode()
 
 
 def _locus_polyline(co: inversive.InversiveCoefficients, half_w: float,

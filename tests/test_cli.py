@@ -646,6 +646,36 @@ class TestWriters:
         assert set(side[:-1][segment]) == {-1.0, 1.0}  # both branches drawn
         assert np.all(side[:-1][segment] == side[1:][segment])
 
+    @pytest.mark.parametrize("config", ["exterior", "crossed", "chapple",
+                                        "vertex"])
+    def test_files_match_per_value_reference(self, config, fam, tmp_path,
+                                             monkeypatch):
+        # O outside every circumcircle at the benchmark's sample count; O
+        # crossed, where X3' runs far out and some cells take exponent
+        # notation; a = b, where X3' does not move; O on a swept vertex,
+        # where sample 0 is skipped.
+        if config == "chapple":
+            cfg = load_config(_chapple_config(tmp_path))
+            sw = analysis.sweep(cfg.fam, cfg.inversion, 720)
+        else:
+            o = complex(family.affine_image(
+                fam, family.triangle_at(fam, 0.0)).v1)
+            k = {"exterior": EXTERIOR_K, "crossed": REF_K,
+                 "vertex": Circle(o, 0.7)}[config]
+            sw = analysis.sweep(fam, k, 4096)
+        assert (sw.skipped == [0]) == (config == "vertex")
+        cli.write_csv(sw, tmp_path / "sweep.csv")
+        csv = (tmp_path / "sweep.csv").read_text()
+        assert csv == _reference_csv(sw)
+        if config == "crossed":
+            assert re.search(r"\de[-+]", csv)
+        p3, p5 = sw.p3.point, sw.p5.point
+        cli.write_svg(sw, p3, p5, tmp_path / "sweep.svg")
+        monkeypatch.setattr(cli, "_svg_path", _reference_svg_path)
+        cli.write_svg(sw, p3, p5, tmp_path / "reference.svg")
+        assert ((tmp_path / "sweep.svg").read_text()
+                == (tmp_path / "reference.svg").read_text())
+
     def test_csv_memory_does_not_grow_with_samples(self, fam, tmp_path):
         sw = analysis.sweep(fam, EXTERIOR_K, 16384)
         tracemalloc.start()
