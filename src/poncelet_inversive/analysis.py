@@ -102,6 +102,7 @@ class SweepResult:
         """Collinearity of X3, O, X3', distance-ratio and pencil residuals
         on the kept samples (NaN compares False) where O is neither X3 nor
         X3' (collinearity_and_ratio rejects those)."""
+        _x3p_kept(self)
         k = self.inversion
         at = ((np.abs(self.x3 - k.center) >= 1e-10)
               & (np.abs(self.x3p - k.center) >= 1e-10))
@@ -142,6 +143,7 @@ class OLocationKind(enum.Enum):
     EXTERIOR = "Exterior"
     INTERIOR = "Interior"
     BOUNDARY = "Boundary"
+    ON_EVERY_CIRCUMCIRCLE = "OnEveryCircumcircle"
 
 
 @dataclass(frozen=True)
@@ -164,13 +166,16 @@ def classify_O(fam: PonceletFamily, k: Circle) -> OLocation:
     respect to the circumcircle at lam, so that power's sinusoid is
     (b0, 2 |b2|) up to scale.  O is on the boundary when the exact locus
     conic classifies as a parabola, so the location obeys the conic-type
-    law."""
+    law.  O is on every circumcircle when that power stays under sweep's
+    skip rule, 1e-8 R^2, with R^2 = a b: exact at a = b, the one such case."""
     coeffs = inversive_coeffs(fam, k)
     try:
         locus = conics.conic_classify(exact_locus_conic(coeffs))
     except SingularMap:
         locus = ConicType.POINT
     loc = locate_O(coeffs.b0, 2 * abs(coeffs.b2), locus is ConicType.PARABOLA)
+    if coeffs.denominator_scale() < _SKIP_POWER_TOL * (fam.a * fam.b) ** 2:
+        loc = OLocation(OLocationKind.ON_EVERY_CIRCUMCIRCLE, 0, 0.0)
     return replace(loc, locus=locus)
 
 
@@ -216,8 +221,15 @@ def _below(residual, bound: float) -> CheckResult:
     return CheckResult(bool(residual < bound), float(residual))
 
 
+def _x3p_kept(sw: SweepResult) -> None:
+    """O on every circumcircle keeps no X3': every line reading it skips."""
+    if len(sw.skipped) == len(sw.thetas):
+        raise Skip("(O on every circumcircle)")
+
+
 def _exact_conic(sw: SweepResult) -> Conic:
     """sw.exact_conic; at a = b X3' is a point: every line reading it skips."""
+    _x3p_kept(sw)
     if sw.exact_conic is None:
         raise Skip("(X3' locus is a point: a = b)")
     return sw.exact_conic
@@ -226,6 +238,7 @@ def _exact_conic(sw: SweepResult) -> Conic:
 def closed_form_check(sw: SweepResult, bound: float) -> CheckResult:
     """Closed form vs the swept X3', relative to max(1, |X3'|), on about 64
     of the kept samples where the closed form is finite."""
+    _x3p_kept(sw)
     at = np.arange(0, len(sw.thetas), max(1, len(sw.thetas) // 64))
     at = at[~np.isnan(sw.x3p[at])
             & ~sw.coeffs.on_circumcircle(np.exp(1j * sw.thetas[at]))]
@@ -239,6 +252,7 @@ def projectivity_check(sw: SweepResult, bound: float) -> CheckResult:
     """Relative defect of the X3' denominator b0 + 2 Re(b2 lam) as a b
     times the power of O, the power computed directly from the swept
     triangles: max |a b power - denominator| / (|b0| + 2 |b2|)."""
+    _x3p_kept(sw)
     co, fam = sw.coeffs, sw.family
     den = co.denominator(np.exp(1j * sw.thetas))
     return _below(np.max(np.abs(fam.a * fam.b * sw.power_at_O - den))
@@ -330,6 +344,7 @@ def homothety_check(sw: SweepResult, bound: float) -> CheckResult:
     """With the inversion centered at P3, the X3' locus is a translated and
     scaled copy of the X3 locus, scale |Pi3| / r^2: the axis-angle,
     squared-axis-ratio and relative scale defects are each under bound."""
+    _x3p_kept(sw)
     k, p3 = sw.inversion, sw.p3
     if not abs(k.center - p3.point) < 1e-9 * max(1.0, abs(p3.point)):
         raise Skip("(inversion center is not P3)")
@@ -356,6 +371,7 @@ def nonconic_evidence(sw: SweepResult, bound=None) -> CheckResult:
     only X3' is a conic: its residual under 1e-9 of its spread, each of the
     others over 1e-4 of its own; a point locus (spread under 1e-9) is
     printed as degenerate and is evidence neither way."""
+    _x3p_kept(sw)
     if len(sw.thetas) - len(sw.skipped) < 100:
         raise Skip("(need at least 100 valid samples)")
     rel, notes = {}, {}
@@ -394,22 +410,3 @@ VERIFY = (
     ("poncelet_closure", 1e-8, "closure_check"),
     ("nonconic_evidence", None, "nonconic_evidence"),
 )
-
-
-def circle_fit(points) -> tuple[Circle, float]:
-    """Algebraic least-squares circle; returns (circle, max radial defect)."""
-    pts = np.asarray(points, dtype=complex)
-    x, y = pts.real, pts.imag
-    m = np.column_stack([2 * x, 2 * y, np.ones_like(x)])
-    rhs = x * x + y * y
-    (cx, cy, d), *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    r = float(np.sqrt(d + cx * cx + cy * cy))
-    resid = float(np.max(np.abs(np.abs(pts - complex(cx, cy)) - r)))
-    return Circle(complex(cx, cy), r), resid
-
-
-def external_similitude_center(c1: Circle, c2: Circle) -> complex:
-    if abs(c1.radius - c2.radius) < 1e-300:
-        raise ZeroDivisionError("equal radii: external center at infinity")
-    return (c1.radius * c2.center - c2.radius * c1.center) \
-        / (c1.radius - c2.radius)

@@ -126,11 +126,6 @@ class Line:
     def signed_distance(self, p: complex) -> float:
         return self.a * p.real + self.b * p.imag + self.c
 
-    @staticmethod
-    def through(p1: complex, p2: complex) -> "Line":
-        d = p2 - p1
-        return Line(-d.imag, d.real, d.imag * p1.real - d.real * p1.imag)
-
 
 @dataclass(frozen=True)
 class ProjectiveMap:
@@ -146,17 +141,6 @@ class ProjectiveMap:
                 np.linalg.svd(m, compute_uv=False)):
             raise SingularMap("projective map is singular within tolerance")
         object.__setattr__(self, "m", m)
-
-    def apply(self, p: complex) -> complex:
-        v = self.m @ np.array([p.real, p.imag, 1.0])
-        return complex(v[0] / v[2], v[1] / v[2])
-
-    def inverse(self) -> "ProjectiveMap":
-        return ProjectiveMap(np.linalg.inv(self.m))
-
-    @staticmethod
-    def affine(scale: float, offset: complex) -> "ProjectiveMap":
-        return ProjectiveMap(Chart(offset, scale).m)
 
 
 def conic_fit(points) -> Conic:
@@ -215,10 +199,6 @@ def conic_residual(c: Conic, p: complex) -> float:
     return c.chart.scale * abs(val) / (np.hypot(gx, gy) + 1e-300)
 
 
-def _adjugate(q: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(q) * np.linalg.det(q)
-
-
 def tangents_from_point(c: Conic, o: complex) -> list[Line]:
     """Tangent lines to c through o, solved in c's chart, h = [w, 1] the
     point of o.  det Q h^T Q h decides: one tangent when |h^T Q h| <= 1e-12
@@ -246,7 +226,8 @@ def tangents_from_point(c: Conic, o: complex) -> list[Line]:
 
 def tangency_residual(c: Conic, line: Line) -> float:
     """Dual-conic defect of the line, both taken into c's chart."""
-    qa = _adjugate(c.local_matrix())
+    q = c.local_matrix()
+    qa = np.linalg.inv(q) * np.linalg.det(q)  # the adjugate: the dual conic
     lv = c.chart.m.T @ np.array([line.a, line.b, line.c])
     return abs(lv @ qa @ lv) / (np.linalg.norm(qa) * (lv @ lv))
 
@@ -265,14 +246,3 @@ def conic_params(c: Conic):
     angle = float(np.arctan2(evecs[1, i], evecs[0, i])) % np.pi
     return (c.chart.center + c.chart.scale * complex(cx, cy), float(semi[i]),
             float(semi[1 - i]), angle)
-
-
-def conic_from_ellipse(center: complex, semi_major: float, semi_minor: float,
-                       angle: float) -> Conic:
-    """Implicit conic of the ellipse with the given center/axes/tilt, in the
-    chart centred on it and scaled by its semi-major axis."""
-    ct, st = np.cos(angle), np.sin(angle)
-    r = np.array([[ct, -st], [st, ct]])
-    q = np.diag([0.0, 0.0, -1.0])
-    q[:2, :2] = r @ np.diag([1.0, (semi_major / semi_minor) ** 2]) @ r.T
-    return Conic.from_matrix(q, Chart(center, semi_major))

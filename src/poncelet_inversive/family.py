@@ -54,9 +54,6 @@ class EllipseGeom:
         return abs(abs(mirrored - self.focus2) - self.major_axis_length) \
             / self.major_axis_length
 
-    def contains(self, z: complex) -> bool:
-        return abs(z - self.focus1) + abs(z - self.focus2) < self.major_axis_length
-
 
 @dataclass(frozen=True)
 class PonceletFamily:
@@ -218,15 +215,6 @@ def inner_ellipse_world(fam: PonceletFamily) -> EllipseGeom:
                        float(2 * (abs(alpha_w) + abs(beta_w))))
 
 
-def _preimage_foci(a: float, b: float, center: complex,
-                   r: float) -> tuple[complex, complex]:
-    """Foci of the unit-disk preimage of the world circle (center, r)."""
-    c = np.sqrt(a * a - b * b)
-    mid = complex(center.real / a, center.imag / b)
-    off = 1j * (r * c / (a * b))
-    return mid - off, mid + off
-
-
 def family_from_inner_circle(a: float, b: float, center: complex,
                              r_in: float) -> PonceletFamily:
     """Family whose inscribed conic is the circle (center, r_in).
@@ -241,7 +229,10 @@ def family_from_inner_circle(a: float, b: float, center: complex,
         raise FamilyError("outer semiaxes must satisfy a >= b > 0")
     if r_in <= 0:
         raise FamilyError("inner radius must be positive")
-    f, g = _preimage_foci(a, b, complex(center), r_in)
+    center = complex(center)
+    mid = complex(center.real / a, center.imag / b)
+    off = 1j * (r_in * np.sqrt(a * a - b * b) / (a * b))
+    f, g = mid - off, mid + off
     if abs(f) >= 1 or abs(g) >= 1:
         raise NotNested("preimage foci fall outside the unit disk")
     closure = abs(1 - np.conj(f) * g)

@@ -162,17 +162,14 @@ def projective_map_of_locus(coeffs: InversiveCoefficients):
         l2, l1, l0 = (np.array([co.a2, co.a1, co.a0]) / co.r2
                       - u * np.array([co.b2, np.conj(co.b2), co.b0]))
         spread = abs(l2) + abs(l1)
-        m = np.vstack([_affine_rows(l2, l1, l0) / spread,
+        # The numerator lam -> l2 lam + l1 conj(lam) + l0 on [Re lam, Im lam, 1]
+        m = np.array([[l2.real + l1.real, l1.imag - l2.imag, l0.real],
+                      [l2.imag + l1.imag, l2.real - l1.real, l0.imag]])
+        m = np.vstack([m / spread,
                        [2 * co.b2.real, -2 * co.b2.imag, co.b0] / abs(d0)])
     # Python scalars: a numpy complex scalar divides with other rounding.
     return ProjectiveMap(m), Chart(complex(co.z0 + co.r2 * u),
                                    float(co.r2 * spread / abs(d0)))
-
-
-def _affine_rows(l2: complex, l1: complex, l0: complex) -> np.ndarray:
-    """lam -> l2 lam + l1 conj(lam) + l0 as two rows on [Re lam, Im lam, 1]."""
-    return np.array([[l2.real + l1.real, l1.imag - l2.imag, l0.real],
-                     [l2.imag + l1.imag, l2.real - l1.real, l0.imag]])
 
 
 def _unit_circle_image(m: ProjectiveMap, chart: Chart) -> Conic:

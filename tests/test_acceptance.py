@@ -12,43 +12,42 @@ import pytest
 
 from poncelet_inversive import (
     Circle,
-    Conic,
     ConicType,
-    OLocationKind,
     PonceletFamily,
-    affine_image,
-    circle_fit,
-    circumcircle,
-    classify_O,
-    collinearity_and_ratio,
-    conic_classify,
-    conic_fit,
-    conic_residual,
-    conic_type_check,
     exact_locus_conic,
-    external_similitude_center,
-    homothety_check,
-    inner_ellipse,
-    inner_ellipse_world,
-    inversive_circumcenter_closed,
     inversive_coeffs,
-    inversive_triangle,
-    nonconic_evidence,
     p3_point,
-    p3_preimage,
     p5_point,
-    pencil_membership,
-    pi3_affine_in_lambda,
-    power,
+    sweep,
+)
+from poncelet_inversive.analysis import (
+    OLocationKind,
+    conic_type_check,
+    homothety_check,
+    nonconic_evidence,
     projectivity_check,
     similitude_check,
-    sweep,
+)
+from poncelet_inversive.conics import Conic, conic_fit, conic_residual
+from poncelet_inversive.family import (
+    affine_image,
+    inner_ellipse,
+    inner_ellipse_world,
     triangle_at,
 )
-from poncelet_inversive.family import solve_inner_radius
-from poncelet_inversive.inversive import circumcenter, euler_circle
+from poncelet_inversive.inversive import (
+    circumcenter,
+    circumcircle,
+    collinearity_and_ratio,
+    euler_circle,
+    inversive_circumcenter_closed,
+    inversive_triangle,
+    pencil_membership,
+)
+from poncelet_inversive.power import p3_preimage, pi3_affine_in_lambda, power
 
-from conftest import EXTERIOR_K, REF_A, REF_B, REF_F, REF_G, REF_K, random_family
+from conftest import (EXTERIOR_K, REF_A, REF_B, REF_F, REF_G, REF_K,
+                      circle_fit, external_similitude_center, random_family)
 
 FAMILIES = [
     (REF_F, REF_G, REF_A, REF_B),

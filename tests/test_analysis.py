@@ -6,33 +6,34 @@ import pytest
 from poncelet_inversive import (
     Circle,
     ConicType,
-    OLocationKind,
     PonceletFamily,
-    Skip,
-    Triangle,
-    affine_image,
-    circle_fit,
-    circumcenter_locus_conic,
     classify_O,
-    conic_fit,
-    conic_type_check,
-    conic_residual,
     exact_locus_conic,
-    external_similitude_center,
-    homothety_check,
     inversive_coeffs,
-    nonconic_evidence,
     p3_point,
-    sampled_location,
-    similitude_check,
     sweep,
-    tangents_from_point,
-    triangle_at,
 )
 from poncelet_inversive import analysis, conics
-from poncelet_inversive.conics import tangency_residual
+from poncelet_inversive.analysis import (
+    OLocationKind,
+    Skip,
+    conic_type_check,
+    homothety_check,
+    nonconic_evidence,
+    sampled_location,
+    similitude_check,
+)
+from poncelet_inversive.conics import (
+    conic_fit,
+    conic_residual,
+    tangency_residual,
+    tangents_from_point,
+)
+from poncelet_inversive.family import Triangle, affine_image, triangle_at
+from poncelet_inversive.inversive import circumcenter_locus_conic
 
-from conftest import (EXTERIOR_K, REF_A, REF_F, REF_G, REF_K, random_circle,
+from conftest import (EXTERIOR_K, REF_A, REF_F, REF_G, REF_K, circle_fit,
+                      external_similitude_center, random_circle,
                       random_family)
 
 

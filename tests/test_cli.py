@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -10,10 +11,7 @@ import pytest
 
 from poncelet_inversive import (
     Circle,
-    Conic,
     PonceletFamily,
-    conic_fit,
-    conic_residual,
     exact_locus_conic,
     inversive_coeffs,
     p3_point,
@@ -27,9 +25,11 @@ from poncelet_inversive.cli import (
     main,
     run_verify,
 )
+from poncelet_inversive.conics import Conic, conic_fit, conic_residual
 from poncelet_inversive.errors import SingularMap
 
-from conftest import EXTERIOR_K, REF_A, REF_B, REF_F, REF_G, REF_K
+from conftest import (EXTERIOR_K, P5_AT_INFINITY, REF_A, REF_B, REF_F, REF_G,
+                      REF_K)
 
 REF_CONFIG = {
     "family": {"f": [REF_F.real, REF_F.imag], "g": [REF_G.real, REF_G.imag],
@@ -155,6 +155,59 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["classify", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_numeric_failure_is_4(self, tmp_path, capsys):
+        f, g, a, b = P5_AT_INFINITY
+        path = write_cfg(tmp_path, lambda raw: raw["family"].update(
+            {"f": [f.real, f.imag], "g": [g.real, g.imag], "a": a, "b": b}))
+        assert main(["verify", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 4
+        assert "numeric failure: P5 denominator" in capsys.readouterr().err
+
+
+# a = b with O on the outer circle, which is every circumcircle: sweep skips
+# every sample, so no X3' exists to check.
+ON_EVERY_CIRCUMCIRCLE = {"o=2": 2 + 0j, "o=2e^0.7i": 2 * cmath.exp(0.7j)}
+READ_NO_X3P = {"p3_constant_power", "p5_constant_power", "p3_interiority",
+               "poncelet_closure"}
+
+
+@pytest.fixture(params=list(ON_EVERY_CIRCUMCIRCLE))
+def on_every_path(tmp_path, request):
+    o = ON_EVERY_CIRCUMCIRCLE[request.param]
+    path = tmp_path / "on_every.json"
+    path.write_text(json.dumps({
+        "family": {"f": [0.3, 0.0], "g": [0.3, 0.0], "a": 2.0, "b": 2.0},
+        "inversion": {"center": [o.real, o.imag], "radius": 1.0}}))
+    return str(path)
+
+
+class TestOnEveryCircumcircle:
+    @pytest.mark.parametrize("command", ["sweep", "verify", "classify"])
+    def test_exits_without_traceback(self, on_every_path, tmp_path, capsys,
+                                     command):
+        argv = [command, "--config", on_every_path]
+        if command != "classify":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) in range(5)  # an escaped exception fails the test
+
+    def test_verify_skips_every_line_reading_x3p(self, on_every_path,
+                                                 tmp_path, capsys):
+        assert main(["verify", "--config", on_every_path,
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":", 1)[0] for line in lines] == VERIFY_LINES
+        for name, line in zip(VERIFY_LINES, lines):
+            status = line.split(": ", 1)[1]
+            if name in READ_NO_X3P:
+                assert status.startswith("PASS")
+            else:
+                assert status == "SKIP (O on every circumcircle)"
+
+    def test_classify_names_the_location(self, on_every_path, capsys):
+        assert main(["classify", "--config", on_every_path]) == 0
+        assert capsys.readouterr().out == (
+            "O=OnEveryCircumcircle locus=Point crossings=0 margin=+0.000e+00\n")
 
 
 class TestCommands:

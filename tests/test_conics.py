@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
-from poncelet_inversive import (
+from poncelet_inversive import ConicType, conic_classify
+from poncelet_inversive.conics import (
+    Chart,
     Conic,
-    ConicType,
     Line,
     ProjectiveMap,
-    conic_classify,
     conic_fit,
+    conic_params,
     conic_residual,
     conic_transform,
+    tangency_residual,
     tangents_from_point,
 )
-from poncelet_inversive.conics import (
-    conic_from_ellipse,
-    conic_params,
-    tangency_residual,
+from poncelet_inversive.errors import (
+    DegenerateConicError,
+    DegenerateInput,
+    SingularMap,
 )
-from poncelet_inversive.errors import DegenerateInput, SingularMap
+
+from conftest import conic_from_ellipse, line_through, map_point
 
 
 def circle_points(center, r, n, phase=0.0):
@@ -144,11 +147,11 @@ class TestChart:
 
 class TestProjectiveMap:
     def test_identity(self):
-        assert ProjectiveMap().apply(2 - 3j) == 2 - 3j
+        assert map_point(ProjectiveMap(), 2 - 3j) == 2 - 3j
 
     def test_affine(self):
-        m = ProjectiveMap.affine(2.0, 1 + 1j)
-        assert m.apply(1j) == pytest.approx(1 + 3j)
+        m = ProjectiveMap(Chart(1 + 1j, 2.0).m)
+        assert map_point(m, 1j) == pytest.approx(1 + 3j)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMap):
@@ -159,7 +162,8 @@ class TestProjectiveMap:
     def test_inverse_round_trip(self, rng):
         m = ProjectiveMap(rng.normal(size=(3, 3)) + 3 * np.eye(3))
         p = 0.4 - 1.1j
-        assert abs(m.inverse().apply(m.apply(p)) - p) < 1e-12
+        inverse = ProjectiveMap(np.linalg.inv(m.m))
+        assert abs(map_point(inverse, map_point(m, p)) - p) < 1e-12
 
     def test_transform_transports_points(self, rng):
         c = conic_from_ellipse(0.5j, 1.5, 0.8, 0.3)
@@ -168,12 +172,13 @@ class TestProjectiveMap:
         center, a, b, ang = conic_params(c)
         for th in np.linspace(0, 2 * np.pi, 17):
             p = center + (a * np.cos(th) + 1j * b * np.sin(th)) * np.exp(1j * ang)
-            assert conic_residual(img, m.apply(p)) < 1e-10
+            assert conic_residual(img, map_point(m, p)) < 1e-10
 
     def test_transform_round_trip(self, rng):
         c = conic_from_ellipse(-1 + 0.5j, 2.0, 1.0, 1.1)
         m = ProjectiveMap(rng.normal(size=(3, 3)) + 4 * np.eye(3))
-        back = conic_transform(conic_transform(c, m), m.inverse())
+        back = conic_transform(conic_transform(c, m),
+                              ProjectiveMap(np.linalg.inv(m.m)))
         assert c.distance(back) < 1e-10
 
 
@@ -186,6 +191,11 @@ class TestTangents:
             assert abs(line.signed_distance(2 + 0j)) < 1e-12
             assert min(abs(line.signed_distance(t)) for t in touch) < 1e-12
             assert tangency_residual(Conic.unit_circle(), line) < 1e-9
+
+    def test_degenerate_conic_rejected(self):
+        line_pair = Conic(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateConicError):
+            tangents_from_point(line_pair, 2 + 1j)
 
     def test_interior_point_has_none(self):
         assert tangents_from_point(Conic.unit_circle(), 0.2 + 0.1j) == []
@@ -234,7 +244,7 @@ class TestLine:
         assert line.c == pytest.approx(2.0)
 
     def test_through_and_signed_distance(self):
-        line = Line.through(0j, 1 + 1j)
+        line = line_through(0j, 1 + 1j)
         assert abs(line.signed_distance(0.5 + 0.5j)) < 1e-15
         assert abs(line.signed_distance(1 + 0j)) == pytest.approx(np.sqrt(2) / 2)
 
@@ -255,3 +265,7 @@ class TestParams:
         # Axes given minor-first must come back sorted.
         _, a, b, _ = conic_params(conic_from_ellipse(0j, 1.0, 2.0, 0.0))
         assert a == pytest.approx(2.0) and b == pytest.approx(1.0)
+
+    def test_parabola_has_no_center(self):
+        with pytest.raises(DegenerateConicError):
+            conic_params(Conic(np.array([1.0, 0, 0, 0, -1.0, 0])))  # y = x^2

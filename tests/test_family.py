@@ -2,24 +2,24 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from poncelet_inversive import (
-    EllipseGeom,
-    PonceletFamily,
-    affine_image,
-    family_from_inner_circle,
-    inner_ellipse,
-    inner_ellipse_world,
-    triangle_at,
-)
+from poncelet_inversive import PonceletFamily
 from poncelet_inversive.errors import (
     CayleyViolation,
     FamilyError,
     NotNested,
     RootToleranceExceeded,
 )
-from poncelet_inversive.family import solve_inner_radius
+from poncelet_inversive.family import (
+    EllipseGeom,
+    affine_image,
+    family_from_inner_circle,
+    inner_ellipse,
+    inner_ellipse_world,
+    solve_inner_radius,
+    triangle_at,
+)
 
-from conftest import random_family
+from conftest import ellipse_contains, random_family
 
 
 class TestFamilyConstruction:
@@ -219,8 +219,8 @@ class TestInnerEllipse:
 
     def test_contains(self):
         e = EllipseGeom(-0.5 + 0j, 0.5 + 0j, 2.0)
-        assert e.contains(0j)
-        assert not e.contains(2 + 0j)
+        assert ellipse_contains(e, 0j)
+        assert not ellipse_contains(e, 2 + 0j)
 
 
 class TestInnerCircleFamilies:
@@ -231,6 +231,10 @@ class TestInnerCircleFamilies:
     def test_not_nested(self):
         with pytest.raises((NotNested, CayleyViolation)):
             family_from_inner_circle(2.0, 1.0, 1.9 + 0j, 0.05)
+
+    def test_foci_outside_the_disk(self):
+        with pytest.raises(NotNested):
+            family_from_inner_circle(2.0, 1.0, 1.9 + 0j, 0.9)
 
     def test_solved_radius_gives_tangent_circle(self, rng):
         a, b = 2.0, 1.3

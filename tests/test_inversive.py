@@ -7,37 +7,36 @@ import pytest
 from poncelet_inversive import (
     Circle,
     PonceletFamily,
-    Triangle,
-    affine_image,
+    exact_locus_conic,
+    inversive_coeffs,
+    sweep,
+)
+from poncelet_inversive.analysis import projectivity_check
+from poncelet_inversive.conics import ConicType, conic_classify, conic_residual
+from poncelet_inversive.errors import (
+    CenterSingularity,
+    CollinearVertices,
+    DegenerateConfiguration,
+    OnCircumcircle,
+    SingularMap,
+)
+from poncelet_inversive.family import Triangle, affine_image, triangle_at
+from poncelet_inversive.inversive import (
+    InversiveCoefficients,
     barycenter,
-    circumcenter_affine_in_lambda,
     circumcenter,
     circumcenter_locus_conic,
     circumcircle,
+    collinearity_and_ratio,
     euler_circle,
-    exact_locus_conic,
     inversive_circumcenter_closed,
-    inversive_coeffs,
     inversive_triangle,
     invert_point,
     orthocenter,
     pencil_membership,
     projective_map_of_locus,
-    projectivity_check,
-    sweep,
-    triangle_at,
 )
-from poncelet_inversive.conics import ConicType, conic_classify, conic_residual
-from poncelet_inversive.errors import (
-    CenterSingularity,
-    CollinearVertices,
-    OnCircumcircle,
-    SingularMap,
-)
-from poncelet_inversive.inversive import (
-    InversiveCoefficients,
-    collinearity_and_ratio,
-)
+from poncelet_inversive.power import circumcenter_affine_in_lambda
 
 from conftest import REF_F, REF_G, REF_K, random_circle, random_family
 
@@ -341,3 +340,10 @@ class TestPencilAndCollinearity:
         k = Circle(3 + 0j, 1.0)
         c, _ = collinearity_and_ratio(0j, 3 + 0j, 2 + 1j, circ, k)
         assert c > 0.1
+
+    @pytest.mark.parametrize("x3, x3p", [(3 + 0j, 2 + 1j), (0j, 3 + 0j)],
+                             ids=["o-at-x3", "o-at-x3p"])
+    def test_o_at_a_centre_is_rejected(self, x3, x3p):
+        with pytest.raises(DegenerateConfiguration):
+            collinearity_and_ratio(x3, 3 + 0j, x3p, Circle(0j, 1.0),
+                                   Circle(3 + 0j, 1.0))

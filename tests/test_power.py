@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from poncelet_inversive import (
-    Circle,
-    PonceletFamily,
-    affine_image,
-    circumcircle,
-    p3_point,
+from poncelet_inversive import Circle, PonceletFamily, p3_point, p5_point
+from poncelet_inversive.errors import DegenerateDenominator
+from poncelet_inversive.family import affine_image, inner_ellipse, triangle_at
+from poncelet_inversive.inversive import circumcircle, euler_circle
+from poncelet_inversive.power import (
     p3_preimage,
     p5_constants,
-    p5_point,
     pi3_affine_in_lambda,
     power,
-    triangle_at,
 )
-from poncelet_inversive.family import inner_ellipse
-from poncelet_inversive.inversive import euler_circle
 
-from conftest import random_family, random_inner_circle_family
+from conftest import (P5_AT_INFINITY, ellipse_contains, random_family,
+                      random_inner_circle_family)
 
 
 class TestPower:
@@ -58,7 +54,7 @@ class TestP3:
     def test_preimage_inside_inner_ellipse(self, rng):
         for _ in range(50):
             fam = random_family(rng)
-            assert inner_ellipse(fam).contains(p3_preimage(fam))
+            assert ellipse_contains(inner_ellipse(fam), p3_preimage(fam))
 
 
 class TestP5:
@@ -75,6 +71,10 @@ class TestP5:
         f = 0.25 + 0.1j
         fam = PonceletFamily.from_axes(f, f, 1.0, 1.0)
         assert abs(p5_point(fam).point - f) < 1e-13
+
+    def test_vanishing_denominator_raises(self):
+        with pytest.raises(DegenerateDenominator):
+            p5_point(PonceletFamily.from_axes(*P5_AT_INFINITY))
 
     def test_gamma2_nonnegative(self, rng):
         for _ in range(25):
